@@ -18,7 +18,7 @@ from .errors import (ClusteredSpectrumError, DuplicatePointsError, IllPosedError
 from .extremal import (AsymptoticRow, BoundCertificate, convergence_study,
                        lower_bound_certificate, modulus_p_norm,
                        proposition_constant, separation_functional)
-from .lattice import (Configuration, LatticePoint, enumerate_lattice_in_disk,
+from .lattice import (Configuration, LatticeSites, enumerate_lattice_in_disk,
                       first_n_lattice_points, first_n_sites, lattice_count,
                       nearest_neighbor_distances, pairwise_min_separation,
                       translate_to_centroid)
@@ -32,7 +32,7 @@ from .optimizer import (OptimizerConfig, OptimizerResult, gradient, optimize,
 __all__ = [
     "AsymptoticRow", "BoundCertificate", "ClusteredSpectrumError",
     "ConditionReport", "Configuration", "DuplicatePointsError",
-    "EigenpairReport", "IllPosedError", "LatticePoint", "NumericalError",
+    "EigenpairReport", "IllPosedError", "LatticeSites", "NumericalError",
     "OptimizerConfig", "OptimizerResult", "PerturbationResult",
     "PerturbationRow", "SchurForm", "UsageError", "condition_report",
     "condition_report_diagonal", "convergence_study", "eigenvalues",

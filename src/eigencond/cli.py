@@ -26,12 +26,17 @@ from .conditioning import (condition_report, condition_report_diagonal,
                            perturbation_experiment)
 from .errors import NumericalError, UsageError
 from .extremal import convergence_study, proposition_constant
-from .lattice import (Configuration, enumerate_lattice_in_disk, first_n_sites,
-                      first_n_lattice_points)
+from .lattice import (CELL_AREA, Configuration, enumerate_lattice_in_disk,
+                      first_n_sites, first_n_lattice_points)
 from .linalg import read_matrix
 from .optimizer import OptimizerConfig, optimize
 
 SEED_ENV_VAR = "EIGENCOND_SEED"
+
+# Most lattice points one invocation may build (lattice --n/--r, reproduce
+# --n, asymptotics --n-list).  reproduce --n 1000000 peaks near 360 MB, and
+# its arrays grow linearly in n.
+MAX_POINTS = 4_000_000
 
 
 def _fmt(x) -> str:
@@ -74,6 +79,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _check_point_count(count: float, flag: str) -> None:
+    """Reject a request for more than MAX_POINTS points before building any."""
+    if count > MAX_POINTS:
+        raise UsageError(f"{flag} asks for about {count:.4g} points; "
+                         f"the limit is {MAX_POINTS}")
+
+
 def _n_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
@@ -103,8 +115,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lattice", help="enumerate triangular-lattice points")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_positive_int, help="first n points by modulus")
-    group.add_argument("--r", type=float, help="all points in the disk of radius r")
+    group.add_argument("--n", type=_positive_int,
+                       help=f"first n points by modulus (n <= {MAX_POINTS})")
+    group.add_argument("--r", type=float,
+                       help="all points in the disk of radius r "
+                            f"(about pi r^2 / (sqrt(3)/2) <= {MAX_POINTS} points)")
     p.add_argument("--open", action="store_true", dest="open_disk",
                    help="with --r: strict inequality |z| < r")
     common(p)
@@ -148,7 +163,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("reproduce", help="headline asymptotic constants at one n")
-    p.add_argument("--n", type=_positive_int, required=True, help="configuration size (>= 100)")
+    p.add_argument("--n", type=_positive_int, required=True,
+                   help=f"configuration size (100 <= n <= {MAX_POINTS})")
     common(p)
     p.set_defaults(func=_cmd_reproduce)
 
@@ -180,21 +196,25 @@ def read_configuration_csv(path) -> Configuration:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+            rows = [(reader.line_num, row) for row in reader
+                    if row and any(cell.strip() for cell in row)]
     except OSError as exc:
         raise UsageError(f"cannot read configuration file {path}: {exc}") from exc
     if not rows:
         raise UsageError(f"{path}: empty configuration file")
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0][1]]
     if "re" not in header or "im" not in header:
         raise UsageError(f"{path}: header must contain 're' and 'im' columns")
     ire, iim = header.index("re"), header.index("im")
     points = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         try:
-            points.append(complex(float(row[ire]), float(row[iim])))
+            x, y = float(row[ire]), float(row[iim])
         except (ValueError, IndexError) as exc:
             raise UsageError(f"{path}: line {lineno}: malformed point row") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise UsageError(f"{path}: line {lineno}: point is not finite")
+        points.append(complex(x, y))
     if not points:
         raise UsageError(f"{path}: no points")
     return Configuration(points)
@@ -243,17 +263,21 @@ def _manifest(ns, subcommand: str, parameters: dict, seed: int | None) -> RunMan
 
 def _cmd_lattice(ns) -> None:
     if ns.n is not None:
+        _check_point_count(ns.n, "--n")
         sites = first_n_sites(ns.n)
         params = {"n": ns.n, "threads": ns.threads}
     else:
         if not math.isfinite(ns.r) or ns.r < 0.0:
             raise UsageError("--r must be finite and nonnegative")
+        _check_point_count(math.pi * ns.r * ns.r / CELL_AREA, "--r")
         sites = enumerate_lattice_in_disk(ns.r, closed=not ns.open_disk)
         params = {"r": ns.r, "closed": not ns.open_disk, "threads": ns.threads}
+    # tolist() yields Python numbers: !r formats floats as _fmt does, and the
+    # modulus is Python's complex abs (np.abs may differ in the last bit)
     lines = ["index,a,b,re,im,modulus"]
-    for idx, site in enumerate(sites):
-        lines.append(f"{idx},{site.a},{site.b},{_fmt(site.z.real)},"
-                     f"{_fmt(site.z.imag)},{_fmt(abs(site.z))}")
+    lines += [f"{idx},{a},{b},{w.real!r},{w.imag!r},{abs(w)!r}"
+              for idx, (a, b, w) in enumerate(zip(sites.a.tolist(), sites.b.tolist(),
+                                                  sites.z.tolist()))]
     _emit(ns, _manifest(ns, "lattice", params, None), "\n".join(lines) + "\n")
 
 
@@ -305,6 +329,7 @@ def _cmd_asymptotics(ns) -> None:
                 raise UsageError(f"configuration file has {pool.size} points, need {n}")
             return Configuration(pool[:n])
     else:
+        _check_point_count(max(ns.n_list), "--n-list")
         generator = None
     try:
         rows = convergence_study(ns.p, ns.n_list, generator)
@@ -373,6 +398,7 @@ def reproduce_rows(n: int) -> list[dict]:
 def _cmd_reproduce(ns) -> None:
     if ns.n < 100:
         raise UsageError("reproduce needs --n >= 100")
+    _check_point_count(ns.n, "--n")
     rows = reproduce_rows(ns.n)
     lines = ["norm,n,measured_ratio,target,rel_deviation"]
     for row in rows:

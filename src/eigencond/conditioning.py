@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ClusteredSpectrumError, DuplicatePointsError, NumericalError
 from .extremal import modulus_p_norm
-from .lattice import Configuration, nearest_neighbor_distances
+from .lattice import (Configuration, nearest_neighbor_distances,
+                      pairwise_min_separation)
 from .linalg import (EIG_GAP_TOL, EIG_RESIDUAL_TOL, _simple_gap, _svd_eigenpair,
                      as_matrix, frobenius_norm, operator_norm, right_eigenvector,
                      schur, smallest_singular_value, unitary_with_first_column)
@@ -118,14 +119,11 @@ def kappa_x(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
 
 
 def _require_simple_spectrum(lams: np.ndarray, anorm: float, gap_tol: float) -> None:
-    n = lams.size
     threshold = gap_tol * anorm
-    clustered = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(lams[i] - lams[j]) <= threshold:
-                clustered.append((complex(lams[i]), complex(lams[j])))
-    if clustered:
+    if nearest_neighbor_distances(lams).min() <= threshold:
+        close = np.abs(lams[:, None] - lams[None, :]) <= threshold
+        clustered = [(complex(lams[i]), complex(lams[j]))
+                     for i, j in np.argwhere(np.triu(close, 1))]
         raise ClusteredSpectrumError(
             f"spectrum is clustered below {threshold:.3e}: {clustered}",
             cluster=[c for pair in clustered for c in pair])
@@ -256,7 +254,7 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
     lams = np.array([row.eigenvalue for row in base.per_eigenpair])
     vecs = np.stack([row.x for row in base.per_eigenpair], axis=1)
     norm_scale = base.norm_frob if norm_kind == "frob" else base.norm_op
-    min_gap = min(abs(lams[i] - lams[j]) for i in range(n) for j in range(i + 1, n))
+    min_gap = pairwise_min_separation(lams)
     if epsilon > min_gap / (10.0 * norm_scale):
         raise ValueError(
             f"epsilon {epsilon:g} too large for unambiguous matching: need "

@@ -22,48 +22,97 @@ CELL_AREA = ROW_HEIGHT             # determinant of the generator matrix
 # and must not be lost to rounding.
 _BOUNDARY_SLACK = 8.0 * np.finfo(float).eps
 
-_PAIR_BLOCK = 1 << 21  # pairwise-distance entries held in memory at once
+# Up to this many points the full distance matrix (at most 64k entries) is
+# faster than a k-d tree, and it spares importing scipy.spatial, which adds
+# about 8 MB of resident memory to a process.
+_MATRIX_MAX = 256
+
+# k-d-tree constants.  The tree proposes _CANDIDATES nearest points per query
+# point (itself included); a point whose farthest candidate lies within
+# _TIE_RTOL of its nearest may have tied neighbours outside that set, and so
+# may a point whose nearest candidate is closer than _TINY after prescaling,
+# where squared distances lose precision to underflow.
+_CANDIDATES = 8
+_TIE_RTOL = 1e-12
+_TINY = 2.0 ** -500
 
 
-def squared_site_modulus(a: int, b: int) -> int:
-    """Exact squared modulus of site (a, b): the integer form a^2 + ab + b^2."""
-    return a * a + a * b + b * b
+@dataclass(frozen=True, eq=False)
+class LatticeSites:
+    """Lattice sites in enumeration order, held as read-only arrays.
 
+    a and b are the integer coordinates (int64) and z the complex embedding
+    (a + b/2) + i*b*sqrt(3)/2 (complex128).  len() is the number of sites.
+    """
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """One lattice site: integer coordinates and the complex embedding."""
-
-    a: int
-    b: int
-    z: complex
+    a: np.ndarray
+    b: np.ndarray
+    z: np.ndarray
 
     @classmethod
-    def from_coords(cls, a: int, b: int) -> "LatticePoint":
-        return cls(int(a), int(b), complex(a + 0.5 * b, b * ROW_HEIGHT))
+    def from_coords(cls, a: np.ndarray, b: np.ndarray) -> "LatticeSites":
+        """Sites with int64 coordinates a, b; z is built from them exactly."""
+        z = np.empty(a.size, dtype=np.complex128)
+        z.real = a + 0.5 * b
+        z.imag = b * ROW_HEIGHT
+        for arr in (a, b, z):
+            arr.setflags(write=False)
+        return cls(a, b, z)
 
-    @property
-    def squared_modulus(self) -> int:
-        return squared_site_modulus(self.a, self.b)
+    def __len__(self) -> int:
+        return self.a.size
+
+    def prefix(self, n: int) -> "LatticeSites":
+        """The first n sites."""
+        return LatticeSites(self.a[:n], self.b[:n], self.z[:n])
 
 
 def nearest_neighbor_distances(points) -> np.ndarray:
-    """Distance from each point to its nearest distinct neighbor (brute force).
+    """Distance from each point to its nearest other point.
 
-    Works in blocks of at most ~2M pairwise entries so n up to a few times
-    10^4 stays within a small memory footprint.
+    Every returned value is np.abs(z_i - z_j) for a minimizing j, so the
+    result equals a scan over all pairs bit for bit.  Up to _MATRIX_MAX
+    points that scan is what runs; above it a k-d tree selects the
+    candidates.  Coincident points give distance 0.
     """
     z = np.asarray(points, dtype=np.complex128).ravel()
     n = z.size
     if n < 2:
         raise ValueError("nearest-neighbor distances need at least two points")
-    out = np.empty(n, dtype=float)
-    block = max(1, _PAIR_BLOCK // n)
-    for lo in range(0, n, block):
-        d = np.abs(z[lo:lo + block, None] - z[None, :])
-        rows = np.arange(d.shape[0])
-        d[rows, lo + rows] = np.inf
-        out[lo:lo + d.shape[0]] = d.min(axis=1)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("nearest-neighbor distances need finite points")
+    if n > _MATRIX_MAX:
+        return _kd_tree_nearest(z)
+    d = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
+def _kd_tree_nearest(z: np.ndarray) -> np.ndarray:
+    """nearest_neighbor_distances of more than _CANDIDATES finite points."""
+    # imported here: scipy.spatial adds a noticeable share to the CLI's start-up
+    from scipy.spatial import cKDTree
+
+    xy = np.column_stack((z.real, z.imag))
+    # an exact power-of-two prescale keeps squared distances inside the
+    # float range without rounding any coordinate
+    _, exponent = np.frexp(np.max(np.abs(xy)))
+    xy = np.ldexp(xy, -exponent)
+    tree = cKDTree(xy)
+    dist, idx = tree.query(xy, k=_CANDIDATES)
+    own = np.arange(z.size)
+    out = np.full(z.size, np.inf)
+    for c in range(_CANDIDATES):
+        d = np.abs(z - z[idx[:, c]])
+        d[idx[:, c] == own] = np.inf
+        np.minimum(out, d, out=out)
+    nearest = dist[:, 1]
+    doubt = np.flatnonzero((dist[:, -1] <= nearest * (1.0 + _TIE_RTOL)) | (nearest < _TINY))
+    if doubt.size:
+        radius = nearest[doubt] * (1.0 + _TIE_RTOL) + _TINY
+        for i, js in zip(doubt, tree.query_ball_point(xy[doubt], radius)):
+            js = np.asarray(js)
+            out[i] = np.abs(z[i] - z[js[js != i]]).min()
     return out
 
 
@@ -75,9 +124,9 @@ def pairwise_min_separation(points) -> float:
 class Configuration:
     """Immutable finite multiset of complex points with a cached minimum separation.
 
-    The cache is computed on first access by brute force; constructors that
-    know the separation analytically (the lattice prefix, a translation) may
-    pass it in.  Values are safe to share across threads.
+    The cache is computed on first access from nearest_neighbor_distances;
+    constructors that know the separation analytically (the lattice prefix, a
+    translation) may pass it in.  Values are safe to share across threads.
     """
 
     def __init__(self, points, min_separation: float | None = None):
@@ -143,7 +192,7 @@ def _scan_rows(limit: float, strict: bool):
             yield a, b
 
 
-def enumerate_lattice_in_disk(r, closed: bool = True) -> list[LatticePoint]:
+def enumerate_lattice_in_disk(r, closed: bool = True) -> LatticeSites:
     """Every lattice point with |z| <= r (closed, with boundary slack) or |z| < r.
 
     Deterministic order: by modulus, ties broken by argument in [0, 2*pi),
@@ -156,13 +205,14 @@ def enumerate_lattice_in_disk(r, closed: bool = True) -> list[LatticePoint]:
         limit, strict = r * r, True
     rows = list(_scan_rows(limit, strict))
     if not rows:
-        return []
+        empty = np.empty(0, dtype=np.int64)
+        return LatticeSites.from_coords(empty, empty)
     aa = np.concatenate([a for a, _ in rows])
     bb = np.concatenate([np.full(a.size, b, dtype=np.int64) for a, b in rows])
     q = aa * (aa + bb) + bb * bb
     angle = np.mod(np.arctan2(bb * ROW_HEIGHT, aa + 0.5 * bb), 2.0 * math.pi)
     order = np.lexsort((bb, aa, angle, q))
-    return [LatticePoint.from_coords(aa[k], bb[k]) for k in order]
+    return LatticeSites.from_coords(aa[order], bb[order])
 
 
 def lattice_count(r) -> int:
@@ -172,7 +222,7 @@ def lattice_count(r) -> int:
     return sum(a.size for a, _ in _scan_rows(limit, strict=False))
 
 
-def first_n_sites(n: int) -> list[LatticePoint]:
+def first_n_sites(n: int) -> LatticeSites:
     """The first n lattice sites in increasing modulus order (deterministic ties)."""
     n = int(n)
     if n < 1:
@@ -181,19 +231,19 @@ def first_n_sites(n: int) -> list[LatticePoint]:
     r = math.sqrt(n * CELL_AREA / math.pi) + 2.0
     while lattice_count(r) < n:
         r *= 1.3
-    return enumerate_lattice_in_disk(r, closed=True)[:n]
+    return enumerate_lattice_in_disk(r, closed=True).prefix(n)
 
 
 def first_n_lattice_points(n: int) -> Configuration:
     """Configuration of the first n lattice points by increasing modulus.
 
     The minimum separation of any lattice subset containing a nearest pair is
-    exactly 1, so the cache is set analytically; brute force reproduces it to
-    a few ulps (the embedding rounds b*sqrt(3)/2 per row).
+    exactly 1, so the cache is set analytically; recomputing it from the
+    points reproduces it to a few ulps (the embedding rounds b*sqrt(3)/2 per
+    row).
     """
-    sites = first_n_sites(n)
-    z = np.fromiter((s.z for s in sites), dtype=np.complex128, count=len(sites))
-    return Configuration(z, min_separation=1.0 if len(sites) >= 2 else None)
+    z = first_n_sites(n).z
+    return Configuration(z, min_separation=1.0 if z.size >= 2 else None)
 
 
 def translate_to_centroid(c: Configuration) -> Configuration:

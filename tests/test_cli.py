@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigencond.cli import main, read_configuration_csv
+from eigencond.cli import MAX_POINTS, main, read_configuration_csv
 from eigencond.linalg import write_matrix
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -56,6 +56,16 @@ class TestLatticeCommand:
         assert run_cli(capsys, "lattice", "--n", "0")[0] == 1
         assert run_cli(capsys, "lattice", "--r", "-1")[0] == 1
         assert run_cli(capsys, "lattice", "--n", "3", "--bogus")[0] == 1
+
+    def test_size_guard_rejects_before_building(self, capsys):
+        too_many = str(MAX_POINTS + 1)
+        for args in (("lattice", "--n", too_many), ("lattice", "--r", "1e9"),
+                     ("lattice", "--r", "1e200"), ("reproduce", "--n", too_many),
+                     ("asymptotics", "--p", "2", "--n-list", f"100,{too_many}")):
+            code, out, err = run_cli(capsys, *args)
+            assert code == 1 and out == ""
+            assert f"limit is {MAX_POINTS}" in err
+        assert MAX_POINTS >= 10 ** 6  # reproduce --n 1000000 stays admissible
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "pts.csv"
@@ -266,6 +276,20 @@ class TestManifest:
         code, _, err = run_cli(capsys, "lattice", "--n", "2", "--threads", "1")
         assert code == 0
         assert json.loads(err.splitlines()[-1])["parameters"]["threads"] == 1
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_nonfinite_configuration_csv_exit_1(capsys, tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"re,im\n0.0,0.0\n\n1.0,{bad}\n2.0,0.0\n")
+    for args in (("cond", "--diag", str(path)),
+                 ("perturb", "--diag", str(path), "--eps", "1e-6"),
+                 ("asymptotics", "--p", "2", "--n-list", "2",
+                  "--generator", "file", "--file", str(path)),
+                 ("optimize", "--n", "3", "--init", "file", "--file", str(path))):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == ""
+        assert "line 4" in err and "not finite" in err
 
 
 def _write_config(tmp_path):

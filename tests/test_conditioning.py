@@ -124,6 +124,12 @@ class TestConditionReport:
         with pytest.raises(ClusteredSpectrumError):
             condition_report(np.eye(3, dtype=complex))
 
+    def test_clustered_pairs_are_listed_in_spectrum_order(self):
+        with pytest.raises(ClusteredSpectrumError) as info:
+            condition_report(np.diag([3.0, 0.0, 3.0, 0.0, 1.0]).astype(complex))
+        assert info.value.cluster == (0j, 0j, 3 + 0j, 3 + 0j)
+        assert str(info.value).endswith("[(0j, 0j), ((3+0j), (3+0j))]")
+
     def test_zeroing_offdiagonal_never_helps_the_full_matrix(self):
         # an upper-triangular matrix cannot beat its own diagonal: dropping
         # the strictly upper part shrinks the norm and every deflated block

@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import eigencond.lattice as lattice_mod
-from conftest import brute_min_separation
-from eigencond.lattice import (Configuration, enumerate_lattice_in_disk,
+from conftest import brute_min_separation, brute_nearest_neighbor_distances
+from eigencond.lattice import (Configuration, _kd_tree_nearest, enumerate_lattice_in_disk,
                                first_n_lattice_points, first_n_sites,
                                lattice_count, nearest_neighbor_distances,
                                pairwise_min_separation, translate_to_centroid)
 
 DENSITY = 2.0 * math.pi / math.sqrt(3.0)  # limit of count / r^2
+
+
+def coords(sites):
+    """The (a, b) pairs of a LatticeSites, in enumeration order."""
+    return list(zip(sites.a.tolist(), sites.b.tolist()))
 
 
 def brute_disk_sites(r, closed=True):
@@ -32,13 +36,13 @@ def brute_disk_sites(r, closed=True):
 
 def test_disk_r_half_contains_only_origin():
     pts = enumerate_lattice_in_disk(0.5, closed=True)
-    assert [(p.a, p.b) for p in pts] == [(0, 0)]
+    assert coords(pts) == [(0, 0)]
 
 
 def test_disk_r1_closed_has_seven_points():
     pts = enumerate_lattice_in_disk(1.0, closed=True)
     assert len(pts) == 7
-    assert {(p.a, p.b) for p in pts} == brute_disk_sites(1.0, closed=True)
+    assert set(coords(pts)) == brute_disk_sites(1.0, closed=True)
 
 
 def test_disk_r1_open_excludes_the_unit_ring():
@@ -47,14 +51,14 @@ def test_disk_r1_open_excludes_the_unit_ring():
 
 def test_disk_r0():
     assert len(enumerate_lattice_in_disk(0.0, closed=True)) == 1
-    assert enumerate_lattice_in_disk(0.0, closed=False) == []
+    assert len(enumerate_lattice_in_disk(0.0, closed=False)) == 0
 
 
 @pytest.mark.parametrize("r", [2.5, 5.0, 7.3, 11.0])
 def test_disk_matches_bruteforce(r):
     pts = enumerate_lattice_in_disk(r, closed=True)
-    assert {(p.a, p.b) for p in pts} == brute_disk_sites(r, closed=True)
-    assert len({(p.a, p.b) for p in pts}) == len(pts)  # no duplicates
+    assert set(coords(pts)) == brute_disk_sites(r, closed=True)
+    assert len(set(coords(pts))) == len(pts)  # no duplicates
 
 
 def test_disk_r50_count_and_error_band():
@@ -68,19 +72,20 @@ def test_disk_r50_count_and_error_band():
 
 def test_ordering_modulus_then_angle_then_coords():
     pts = enumerate_lattice_in_disk(1.0, closed=True)
-    assert [(p.a, p.b) for p in pts] == [
+    assert coords(pts) == [
         (0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
 
 
 def test_enumeration_is_bit_stable():
     first = enumerate_lattice_in_disk(12.5, closed=True)
     second = enumerate_lattice_in_disk(12.5, closed=True)
-    assert [(p.a, p.b, p.z) for p in first] == [(p.a, p.b, p.z) for p in second]
+    assert coords(first) == coords(second)
+    assert first.z.tobytes() == second.z.tobytes()
 
 
 def test_sorted_prefixes_are_consistent():
-    small = [(p.a, p.b) for p in first_n_sites(40)]
-    large = [(p.a, p.b) for p in first_n_sites(150)]
+    small = coords(first_n_sites(40))
+    large = coords(first_n_sites(150))
     assert large[:40] == small
 
 
@@ -195,13 +200,76 @@ def test_min_separation_matches_bruteforce(n, seed):
     assert Configuration(z).min_separation == brute_min_separation(z)
 
 
-def test_nearest_neighbor_chunking(monkeypatch):
-    rng = np.random.default_rng(11)
-    z = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    whole = nearest_neighbor_distances(z)
-    monkeypatch.setattr(lattice_mod, "_PAIR_BLOCK", 64)
-    chunked = nearest_neighbor_distances(z)
-    assert np.array_equal(whole, chunked)
+def test_sites_arrays_and_embedding():
+    sites = enumerate_lattice_in_disk(3.0)
+    assert sites.a.dtype == sites.b.dtype == np.int64
+    assert sites.z.dtype == np.complex128
+    assert len(sites) == sites.a.size == sites.b.size == sites.z.size
+    # each z is exactly the scalar embedding (a + b/2) + i*b*sqrt(3)/2
+    assert sites.z.tolist() == [complex(a + 0.5 * b, b * (math.sqrt(3.0) / 2.0))
+                                for a, b in coords(sites)]
+    with pytest.raises(ValueError):
+        sites.z[0] = 1.0
+
+
+def _point_family(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "duplicates":
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return z[rng.integers(0, max(1, n // 3), size=n)]  # every value repeats
+    if kind == "grid":
+        side = int(math.isqrt(n)) + 1
+        g = np.arange(side)
+        return (g[:, None] + 1j * g[None, :]).ravel()[:n]  # up to 4 tied neighbours
+    if kind == "lattice":
+        return first_n_lattice_points(n).points
+    raise ValueError(kind)
+
+
+@given(st.sampled_from(["gaussian", "duplicates", "grid", "lattice"]),
+       st.integers(min_value=9, max_value=600),
+       st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=-600, max_value=600))
+def test_nearest_neighbors_match_bruteforce(kind, n, seed, k):
+    # the public function switches to the tree above 256 points; the tree
+    # itself is checked at every size
+    z = _point_family(kind, n, seed) * 2.0 ** k
+    expected = brute_nearest_neighbor_distances(z)
+    assert np.array_equal(nearest_neighbor_distances(z), expected)
+    assert np.array_equal(_kd_tree_nearest(z), expected)
+
+
+_RING = np.exp(2j * np.pi * np.arange(12) / 12)
+_CLOUD = _point_family("gaussian", 300, 3)
+
+
+@pytest.mark.parametrize("z", [
+    np.zeros(20, dtype=complex),                      # all coincident
+    _RING,                                            # 12 near-equal gaps
+    np.append(_RING, 0.0),                            # 12 neighbours tied at 1
+    np.array([0.0, 2.0 ** -1070, 1.0, 1.0 + 2.0 ** -600, 3.0, 7.0, 9.0, 11.0, 20.0]),
+    _CLOUD * 2.0 ** 1000,                             # squares overflow unscaled
+    _CLOUD * 2.0 ** -1000,                            # squares underflow unscaled
+    # a cluster whose squared gaps are subnormal after prescaling
+    np.append(_point_family("gaussian", 60, 13) * 2.0 ** -535, 1.0),
+])
+def test_nearest_neighbors_ties_and_extreme_gaps(z):
+    assert np.array_equal(_kd_tree_nearest(z), brute_nearest_neighbor_distances(z))
+
+
+def test_nearest_neighbors_lattice_prefix_20k():
+    z = first_n_lattice_points(20_000).points
+    assert np.array_equal(nearest_neighbor_distances(z),
+                          brute_nearest_neighbor_distances(z))
+
+
+def test_nearest_neighbors_reject_bad_input():
+    with pytest.raises(ValueError):
+        nearest_neighbor_distances([1.0])
+    with pytest.raises(ValueError):
+        nearest_neighbor_distances([0.0, complex(math.inf, 0.0)])
 
 
 def test_configuration_validation():
