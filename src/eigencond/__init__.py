@@ -24,8 +24,7 @@ from .lattice import (Configuration, LatticeSites, enumerate_lattice_in_disk,
                       translate_to_centroid)
 from .linalg import (SchurForm, eigenvalues, frobenius_norm, operator_norm,
                      read_matrix, right_eigenvector, right_left_eigenpair, schur,
-                     smallest_singular_value, unitary_with_first_column,
-                     write_matrix)
+                     smallest_singular_value, write_matrix)
 from .optimizer import (OptimizerConfig, OptimizerResult, gradient, optimize,
                         soft_separation_functional)
 
@@ -43,6 +42,5 @@ __all__ = [
     "perturbation_experiment", "proposition_constant", "read_matrix",
     "right_eigenvector", "right_left_eigenpair", "schur",
     "separation_functional", "smallest_singular_value",
-    "soft_separation_functional", "translate_to_centroid",
-    "unitary_with_first_column", "write_matrix",
+    "soft_separation_functional", "translate_to_centroid", "write_matrix",
 ]

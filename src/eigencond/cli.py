@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .conditioning import (condition_report, condition_report_diagonal,
                            perturbation_experiment)
-from .errors import NumericalError, UsageError
+from .errors import DuplicatePointsError, NumericalError, UsageError
 from .extremal import convergence_study, proposition_constant
 from .lattice import (CELL_AREA, Configuration, enumerate_lattice_in_disk,
                       first_n_sites, first_n_lattice_points)
@@ -106,9 +106,6 @@ def build_parser() -> _Parser:
     def common(p, seeded=False):
         p.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
         p.add_argument("--manifest", metavar="PATH", help="also write the run manifest here")
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="cap internal parallelism (the implementation is "
-                            "single-threaded; 1 is the tested default)")
         if seeded:
             p.add_argument("--seed", type=_nonnegative_int, default=None,
                            help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
@@ -265,13 +262,13 @@ def _cmd_lattice(ns) -> None:
     if ns.n is not None:
         _check_point_count(ns.n, "--n")
         sites = first_n_sites(ns.n)
-        params = {"n": ns.n, "threads": ns.threads}
+        params = {"n": ns.n}
     else:
         if not math.isfinite(ns.r) or ns.r < 0.0:
             raise UsageError("--r must be finite and nonnegative")
         _check_point_count(math.pi * ns.r * ns.r / CELL_AREA, "--r")
         sites = enumerate_lattice_in_disk(ns.r, closed=not ns.open_disk)
-        params = {"r": ns.r, "closed": not ns.open_disk, "threads": ns.threads}
+        params = {"r": ns.r, "closed": not ns.open_disk}
     # tolist() yields Python numbers: !r formats floats as _fmt does, and the
     # modulus is Python's complex abs (np.abs may differ in the last bit)
     lines = ["index,a,b,re,im,modulus"]
@@ -293,10 +290,10 @@ def _condition_rows(report) -> list[str]:
 def _cmd_cond(ns) -> None:
     if ns.diag is not None and ns.matrix is None:
         report = condition_report_diagonal(read_configuration_csv(ns.diag))
-        params = {"diag": ns.diag, "threads": ns.threads}
+        params = {"diag": ns.diag}
     else:
         report = condition_report(_load_matrix_or_diag(ns))
-        params = {"matrix": ns.matrix, "threads": ns.threads}
+        params = {"matrix": ns.matrix}
     _emit(ns, _manifest(ns, "cond", params, None), "\n".join(_condition_rows(report)) + "\n")
 
 
@@ -314,7 +311,7 @@ def _cmd_perturb(ns) -> None:
                      f"{_fmt(row.shift_ratio)},{_fmt(row.angle_ratio)}")
     lines.append(f"excluded_trials,{result.excluded_trials}")
     params = {"matrix": ns.matrix, "diag": ns.diag, "eps": ns.eps,
-              "trials": ns.trials, "norm": ns.norm, "threads": ns.threads}
+              "trials": ns.trials, "norm": ns.norm}
     _emit(ns, _manifest(ns, "perturb", params, seed), "\n".join(lines) + "\n")
 
 
@@ -327,7 +324,11 @@ def _cmd_asymptotics(ns) -> None:
         def generator(n: int) -> Configuration:
             if n > pool.size:
                 raise UsageError(f"configuration file has {pool.size} points, need {n}")
-            return Configuration(pool[:n])
+            config = Configuration(pool[:n])
+            if n > 1 and config.min_separation == 0.0:
+                raise DuplicatePointsError(
+                    f"{ns.file}: the first {n} points are not pairwise distinct")
+            return config
     else:
         _check_point_count(max(ns.n_list), "--n-list")
         generator = None
@@ -340,7 +341,7 @@ def _cmd_asymptotics(ns) -> None:
         lines.append(f"{row.n},{_fmt(row.raw)},{_fmt(row.scale)},{_fmt(row.ratio)},"
                      f"{_fmt(row.target)},{_fmt(row.ratio / row.target)}")
     params = {"p": ns.p, "n_list": ns.n_list, "generator": ns.generator,
-              "file": ns.file, "threads": ns.threads}
+              "file": ns.file}
     _emit(ns, _manifest(ns, "asymptotics", params, None), "\n".join(lines) + "\n")
 
 
@@ -370,7 +371,7 @@ def _cmd_optimize(ns) -> None:
             fh.write(json.dumps({"event": "done", "objective": result.objective,
                                  "init_objective": result.init_objective}) + "\n")
     params = {"n": ns.n, "p": ns.p, "restarts": ns.restarts, "init": ns.init,
-              "file": ns.file, "max_iters": ns.max_iters, "threads": ns.threads}
+              "file": ns.file, "max_iters": ns.max_iters}
     _emit(ns, _manifest(ns, "optimize", params, seed), "\n".join(out) + "\n")
 
 
@@ -404,7 +405,7 @@ def _cmd_reproduce(ns) -> None:
     for row in rows:
         lines.append(f"{row['norm']},{row['n']},{_fmt(row['measured_ratio'])},"
                      f"{_fmt(row['target'])},{_fmt(row['rel_deviation'])}")
-    params = {"n": ns.n, "threads": ns.threads}
+    params = {"n": ns.n}
     _emit(ns, _manifest(ns, "reproduce", params, None), "\n".join(lines) + "\n")
 
 

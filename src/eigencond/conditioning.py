@@ -2,11 +2,15 @@
 
 For a simple eigenpair (lam, x) with unit left eigenvector y, the eigenvalue
 condition number is 1/|y^H x|.  The eigenvector condition number is
-1/sigma_min(B - lam*I), where B is the trailing block after rotating x into
-the first coordinate with a Householder completion; it is +inf exactly when
-that block is singular (repeated eigenvalue).  A fast path reproduces both
-numbers for diagonal matrices from pairwise gaps without forming any matrix,
-and a randomized experiment checks the first-order perturbation law
+1/sigma_min(B), where B = T22 - lam*I is the trailing block of a Schur form
+reordered so that lam leads its diagonal; B represents A - lam*I on the
+orthogonal complement of x, and kappa_x is +inf exactly when B is singular
+(repeated eigenvalue).  All of it comes from one verified Schur form of the
+matrix prescaled by an exact power of two (linalg.schur_eigenpair does the
+per-eigenpair work); the standalone kappa_lambda / kappa_x are thin wrappers
+over the same engine.  A fast path reproduces both numbers for diagonal
+matrices from pairwise gaps without forming any matrix, and a randomized
+experiment checks the first-order perturbation law
 |lam_hat - lam| <= eps*||A||*kappa_lam + O(eps^2) empirically.
 """
 
@@ -17,16 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteredSpectrumError, DuplicatePointsError, NumericalError
+from .errors import ClusteredSpectrumError, DuplicatePointsError
 from .extremal import modulus_p_norm
 from .lattice import (Configuration, nearest_neighbor_distances,
                       pairwise_min_separation)
-from .linalg import (EIG_GAP_TOL, EIG_RESIDUAL_TOL, _simple_gap, _svd_eigenpair,
-                     as_matrix, frobenius_norm, operator_norm, right_eigenvector,
-                     schur, smallest_singular_value, unitary_with_first_column)
+from .linalg import (EIG_GAP_TOL, EIG_RESIDUAL_TOL, as_matrix, pow2_scale,
+                     locate_eigenpair, operator_norm, prescale, schur,
+                     schur_eigenpair, verified_residuals)
 
 OVERLAP_TOL = 1e-14        # |y^H x| below this reports kappa_lambda = +inf
-BLOCK_RESIDUAL_TOL = 1e-8  # * ||A||_F: first-column spike allowed in the block form
 
 # Matching tolerance for the perturbation experiment: two perturbed
 # eigenvalues within this fraction of the unperturbed gap of each other are
@@ -40,7 +43,8 @@ class EigenpairReport:
 
     x and y are unit right/left eigenvectors; the diagonal fast path leaves
     them as None (they are standard basis vectors).  kappa_x is math.inf when
-    the deflated block is exactly singular.
+    the reordered Schur block is exactly singular.  residuals are the right
+    and left eigenvector residual norms, in the units of A.
     """
 
     eigenvalue: complex
@@ -73,86 +77,90 @@ def _spectrum_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, values.real, angle, np.abs(values)))
 
 
-def _overlap_kappa(x: np.ndarray, y: np.ndarray) -> float:
-    overlap = abs(complex(y.conj() @ x))
-    if overlap < OVERLAP_TOL:
+def _overlap_kappa(inv_overlap: float) -> float:
+    """kappa_lambda from 1/|y^H x|: +inf when |y^H x| < OVERLAP_TOL."""
+    if not 1.0 / inv_overlap >= OVERLAP_TOL:
         return math.inf
-    # unit vectors give kappa >= 1; the clamp absorbs last-ulp rounding
-    return max(1.0, 1.0 / overlap)
+    # the norm of [1; w] is >= 1; the clamp absorbs last-ulp rounding
+    return max(1.0, inv_overlap)
+
+
+def _kappa_x(sigma_min: float, s: int) -> float:
+    """1/sigma_min of the block of A * 2^s, mapped back to A exactly."""
+    return math.inf if sigma_min == 0.0 else float(pow2_scale(1.0 / sigma_min, s))
 
 
 def kappa_lambda(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
                  gap_tol: float = EIG_GAP_TOL) -> float:
     """Eigenvalue condition number ||y|| ||x|| / |y^H x| for simple lam."""
-    m = as_matrix(a, square=True)
-    lam = complex(lam)
-    _simple_gap(m, lam, float(np.linalg.norm(m)), gap_tol)
-    x, y, _, _ = _svd_eigenpair(m, lam, residual_tol)
-    return _overlap_kappa(x, y)
+    pair, _ = locate_eigenpair(a, lam, residual_tol=residual_tol, gap_tol=gap_tol)
+    return _overlap_kappa(pair.inv_overlap)
 
 
-def _kappa_x_from_vector(m: np.ndarray, lam: complex, x: np.ndarray,
-                         block_tol: float) -> float:
-    """1/sigma_min(B - lam*I) with B the deflated block for eigenvector x."""
-    q = unitary_with_first_column(x)
-    t = q.conj().T @ m @ q
-    anorm = float(np.linalg.norm(m))
-    spike = float(np.linalg.norm(t[1:, 0]))
-    if spike > block_tol * (anorm if anorm > 0.0 else 1.0):
-        raise NumericalError(
-            f"block form verification failed: first-column residual {spike:.3e} "
-            "(the supplied vector is not an eigenvector to tolerance)")
-    b = t[1:, 1:]
-    smin = smallest_singular_value(b - lam * np.eye(b.shape[0]))
-    return math.inf if smin == 0.0 else 1.0 / smin
-
-
-def kappa_x(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
-            block_tol: float = BLOCK_RESIDUAL_TOL) -> float:
+def kappa_x(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL) -> float:
     """Eigenvector condition number for lam; +inf when lam is repeated."""
     m = as_matrix(a, square=True)
     if m.shape[0] == 1:
         raise ValueError("kappa_x is undefined for 1x1 matrices: no deflated block")
-    lam = complex(lam)
-    x = right_eigenvector(m, lam, residual_tol=residual_tol)
-    return _kappa_x_from_vector(m, lam, x, block_tol)
+    pair, s = locate_eigenpair(m, lam, residual_tol=residual_tol)
+    return _kappa_x(pair.sigma_min, s)
 
 
-def _require_simple_spectrum(lams: np.ndarray, anorm: float, gap_tol: float) -> None:
+def _require_simple_spectrum(lams: np.ndarray, anorm: float, gap_tol: float,
+                             s: int) -> None:
+    """Raise ClusteredSpectrumError listing every pair closer than gap_tol*anorm.
+
+    lams and anorm belong to A * 2^s; the message reports values of A.
+    """
     threshold = gap_tol * anorm
     if nearest_neighbor_distances(lams).min() <= threshold:
         close = np.abs(lams[:, None] - lams[None, :]) <= threshold
-        clustered = [(complex(lams[i]), complex(lams[j]))
+        values = pow2_scale(lams, -s)
+        clustered = [(complex(values[i]), complex(values[j]))
                      for i, j in np.argwhere(np.triu(close, 1))]
         raise ClusteredSpectrumError(
-            f"spectrum is clustered below {threshold:.3e}: {clustered}",
+            f"spectrum is clustered below {pow2_scale(threshold, -s):.3e}: {clustered}",
             cluster=[c for pair in clustered for c in pair])
 
 
 def condition_report(a, *, residual_tol: float = EIG_RESIDUAL_TOL,
-                     gap_tol: float = EIG_GAP_TOL,
-                     block_tol: float = BLOCK_RESIDUAL_TOL) -> ConditionReport:
-    """Full conditioning report via the Schur route; requires a simple spectrum."""
+                     gap_tol: float = EIG_GAP_TOL) -> ConditionReport:
+    """Full conditioning report from one Schur form; requires a simple spectrum.
+
+    The matrix is prescaled by an exact power of two, so kappa_max_* and
+    every kappa_lambda are bit-identical under A -> 2^k A, and kappa_x and
+    the norms scale exactly.  Each eigenpair costs one reorder, one
+    triangular solve and one SVD of the (n-1) block (linalg.schur_eigenpair);
+    the residuals of all of them are verified together afterwards.
+    """
     m = as_matrix(a, square=True)
     if m.shape[0] < 2:
         raise ValueError("condition reports need n >= 2")
-    eigs = schur(m).eigenvalues
-    lams = eigs[_spectrum_order(eigs)]
-    nf = frobenius_norm(m)
-    _require_simple_spectrum(lams, nf, gap_tol)
-    no = operator_norm(m)
-    rows = []
-    for lam in lams:
-        lam = complex(lam)
-        x, y, res_r, res_l = _svd_eigenpair(m, lam, residual_tol)
-        rows.append(EigenpairReport(
-            eigenvalue=lam, x=x, y=y,
-            kappa_lambda=_overlap_kappa(x, y),
-            kappa_x=_kappa_x_from_vector(m, lam, x, block_tol),
-            residuals=(res_r, res_l)))
-    kx_max = max(row.kappa_x for row in rows)
+    ms, s = prescale(m)
+    form = schur(ms)
+    eigs = form.eigenvalues
+    order = _spectrum_order(eigs)
+    lams = eigs[order]
+    nf = float(np.linalg.norm(ms))
+    _require_simple_spectrum(lams, nf, gap_tol, s)
+    no = operator_norm(ms)
+    pairs = [schur_eigenpair(form, int(k)) for k in order]
+    tol = residual_tol * (nf if nf > 0.0 else 1.0)
+    res_r = verified_residuals(ms, lams, np.stack([p.x for p in pairs], axis=1), tol)
+    res_l = verified_residuals(ms, lams, np.stack([p.y for p in pairs], axis=1), tol,
+                               left=True)
+    values = pow2_scale(lams, -s)
+    residuals = pow2_scale(np.stack([res_r, res_l], axis=1), -s)
+    rows = [EigenpairReport(
+                eigenvalue=complex(values[i]), x=p.x, y=p.y,
+                kappa_lambda=_overlap_kappa(p.inv_overlap),
+                kappa_x=_kappa_x(p.sigma_min, s),
+                residuals=tuple(residuals[i].tolist()))
+            for i, p in enumerate(pairs)]
+    kx_max = _kappa_x(min(p.sigma_min for p in pairs), 0)
     return ConditionReport(per_eigenpair=rows, kappa_max_frob=kx_max * nf,
-                           kappa_max_op=kx_max * no, norm_frob=nf, norm_op=no)
+                           kappa_max_op=kx_max * no, norm_frob=float(pow2_scale(nf, -s)),
+                           norm_op=float(pow2_scale(no, -s)))
 
 
 def condition_report_diagonal(c: Configuration) -> ConditionReport:
@@ -237,6 +245,8 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
     originals by nearest eigenvalue (ambiguous trials are excluded and
     counted), and records |lam_hat - lam| / (eps*||A||) and the principal
     angle arccos|x_hat^H x| / (eps*||A||), keeping per-eigenvalue maxima.
+    Trial t draws E from the stream default_rng((seed, t)), so no two seeds
+    share a trial.
 
     Requires eps <= min_gap / (10*||A||) so the matching is unambiguous.
     """
@@ -264,7 +274,7 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
     angle_max = np.zeros(n)
     excluded = 0
     for t in range(trials):
-        rng = np.random.default_rng(seed + t)
+        rng = np.random.default_rng((seed, t))
         e = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
         e /= _matrix_norm(e, norm_kind)
         w, v = np.linalg.eig(m + scale * e)

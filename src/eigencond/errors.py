@@ -3,6 +3,20 @@
 The CLI maps these onto exit codes: usage problems exit 1, numerical
 ill-posedness (clustered spectra, duplicate points, failed factorizations)
 exits 2.
+
+Coincident points follow that rule in every subcommand that reads a
+configuration file, and none of them prints a result row:
+
+- `cond --diag` raises DuplicatePointsError (exit 2);
+- `perturb --diag` builds Diag(z), whose spectrum is clustered, and raises
+  ClusteredSpectrumError (exit 2);
+- `asymptotics --generator file` raises DuplicatePointsError (exit 2) when a
+  requested prefix of the file holds a repeated point;
+- `optimize --init file` raises NumericalError (exit 2): the soft gap of the
+  start is undefined.
+
+The library function `extremal.separation_functional` does not raise: it
+returns +inf for coincident points, the value the optimizer compares against.
 """
 
 

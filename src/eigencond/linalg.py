@@ -4,14 +4,25 @@ Factorizations delegate to LAPACK through numpy/scipy; every factor handed
 back is re-checked against explicit residual tolerances, and eigenvector
 extraction flags clustered spectra instead of returning garbage.  The
 tolerances below are package defaults, overridable per call.
+
+Eigenpairs come from one engine (schur_eigenpair, after LAPACK's xTREXC /
+xTRSNA): the Schur form T = Q^H A Q is reordered so that the eigenvalue
+sits at T[0, 0]; then x = Q e_1, the left eigenvector comes from one
+triangular solve with the trailing block, and that block shifted by lam
+gives sigma_min for kappa_x.  Engine entry points prescale A by an exact
+power of two (prescale), so nothing depends on where ||A|| falls in the
+float range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .errors import ClusteredSpectrumError, NumericalError
 
@@ -32,6 +43,37 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def pow2_scale(z, e: int):
+    """z * 2^e for real or complex scalars and arrays, parts scaled apart.
+
+    Exact unless a part leaves the normal float range; past the top it
+    gives +-inf, where the math module's ldexp would raise.
+    """
+    z = np.asarray(z)
+    with np.errstate(over="ignore", under="ignore"):
+        if not np.iscomplexobj(z):
+            return np.ldexp(z, e)
+        out = np.empty_like(z)
+        out.real = np.ldexp(z.real, e)
+        out.imag = np.ldexp(z.imag, e)
+    return out
+
+
+def prescale(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(m * 2^s, s) with the largest |re| or |im| of an entry in [1/2, 1).
+
+    The factor is an exact power of two read off frexp, never off a norm
+    that could overflow, so quantities computed from the scaled matrix map
+    back by an exact ldexp and do not depend on where ||m|| falls in the
+    float range.  The zero matrix comes back with s = 0.
+    """
+    peak = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+    if peak == 0.0:
+        return m, 0
+    s = -math.frexp(peak)[1]
+    return pow2_scale(m, s), s
 
 
 def frobenius_norm(m) -> float:
@@ -105,50 +147,130 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _svd_eigenpair(m: np.ndarray, lam: complex, residual_tol: float):
-    """Unit right/left eigenvectors of m for eigenvalue lam, via one SVD.
+class SchurEigenpair(NamedTuple):
+    """One eigenpair read off a Schur form reordered so that lam = T[0, 0].
 
-    Returns (x, y, residual_right, residual_left); no simplicity check.
+    With T = [[lam, t], [0, T22]], Q the reordered unitary factor and
+    B = T22 - lam*I: x = Q e_1 exactly, w solves B^H w = -t^H, the left
+    eigenvector is y = Q [1; w] / ||[1; w]||, and inv_overlap = ||[1; w]||
+    = 1/|y^H x|.  sigma_min is the least singular value of B, which
+    represents A - lam*I on the orthogonal complement of x.  When B is
+    singular in working precision (lam repeated exactly, or a gap below the
+    normal float range) the solve fails: y is then all NaN, which fails
+    every residual check, and inv_overlap is inf.  x and y are phase-fixed
+    like every eigenvector of this module.
     """
-    n = m.shape[0]
-    anorm = float(np.linalg.norm(m))
-    shifted = m - lam * np.eye(n)
-    u, s, vh = np.linalg.svd(shifted)
-    smin = float(s[-1])
+
+    eigenvalue: complex
+    x: np.ndarray
+    y: np.ndarray
+    inv_overlap: float
+    sigma_min: float
+
+
+# The left solve scales its right-hand side down by a power of two when its
+# solution could exceed 2^_SOLVE_EXP_LIMIT (||w|| <= ||t|| / sigma_min), far
+# enough below the overflow threshold that no partial sum can reach it.
+_SOLVE_EXP_LIMIT = 512
+
+
+def schur_eigenpair(form: SchurForm, k: int) -> SchurEigenpair:
+    """Eigenpair of the k-th diagonal entry of a Schur form.
+
+    One reorder (ztrexc moves t_kk to T[0, 0]; diagonal entries move
+    exactly), one SVD of the triangular (n-1) block and one triangular
+    solve, all through scipy's BLAS/LAPACK only: interleaving numpy's
+    separately linked BLAS runtime in a per-eigenpair loop costs more than
+    the loop's own work.
+    """
+    t, q, info = lapack.ztrexc(form.t, form.q, k + 1, 1)
+    if info != 0:
+        raise NumericalError(f"Schur reordering failed: ztrexc info {info}")
+    n = t.shape[0]
+    lam = complex(t[0, 0])
+    x = _fix_phase(q[:, 0].copy())
+    if n == 1:
+        return SchurEigenpair(lam, x, x, 1.0, math.inf)
+    b = np.triu(t[1:, 1:])
+    diag = np.arange(n - 1)
+    b[diag, diag] -= lam
+    smin = float(scipy.linalg.svdvals(b, check_finite=False)[-1])
+    v = np.empty(n, dtype=np.complex128)
+    v[0] = 1.0
+    v[1:] = -t[0, 1:].conj()
+    shift = max(0, math.frexp(blas.dznrm2(v[1:]))[1] - math.frexp(smin)[1]
+                - _SOLVE_EXP_LIMIT)
+    if shift:
+        v = pow2_scale(v, -shift)
+    v[1:] = blas.ztrsv(b, v[1:], trans=2)
+    if not np.all(np.isfinite(v)):
+        # B is singular in working precision: an exact zero on its diagonal,
+        # or one whose reciprocal overflows
+        return SchurEigenpair(lam, x, np.full(n, np.nan, dtype=np.complex128),
+                              math.inf, smin)
+    nrm = blas.dznrm2(v)
+    y = _fix_phase(blas.zgemv(1.0 / nrm, q, v))
+    return SchurEigenpair(lam, x, y, float(pow2_scale(nrm, shift)), smin)
+
+
+def verified_residuals(m: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
+                       tol: float, *, left: bool = False) -> np.ndarray:
+    """Residual norm of every column, ||m v - lam v|| or with left=True
+    ||m^H v - conj(lam) v||, from one matrix product for all columns.
+
+    Raises NumericalError unless every residual is <= tol (a NaN fails).
+    """
+    if left:
+        m, lams = m.conj().T, lams.conj()
+    res = np.linalg.norm(m @ vectors - vectors * lams, axis=0)
+    if not np.all(res <= tol):
+        worst = float(np.max(np.where(np.isnan(res), np.inf, res)))
+        side = "left" if left else "right"
+        raise NumericalError(f"{side} eigenvector residual {worst:.3e} exceeds "
+                             f"tolerance {tol:.3e}")
+    return res
+
+
+def locate_eigenpair(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
+                     gap_tol: float | None = None) -> tuple[SchurEigenpair, int]:
+    """Engine entry for one eigenvalue: prescale, Schur form, locate, reorder.
+
+    lam is matched to the nearest Schur diagonal entry, which must lie
+    within residual_tol * ||A||_F of it (else ValueError).  With gap_tol the
+    entry must also be simple against the rest of the diagonal (else
+    ClusteredSpectrumError), and the left eigenvector is verified along with
+    the right one.  Returns the pair for the prescaled matrix A * 2^s, and s.
+    """
+    ms, s = prescale(as_matrix(a, square=True))
+    form = schur(ms)
+    diag = form.eigenvalues
+    lam = complex(lam)
+    dist = np.abs(diag - complex(pow2_scale(lam, s)))
+    k = int(np.argmin(dist))
+    anorm = float(np.linalg.norm(ms))
     tol = residual_tol * (anorm if anorm > 0.0 else 1.0)
-    if smin > tol:
-        raise ValueError(f"{lam!r} is not an eigenvalue within tolerance "
-                         f"(sigma_min {smin:.3e} > {tol:.3e})")
-    x = _fix_phase(vh[-1].conj())
-    y = _fix_phase(u[:, -1].copy())
-    res_right = float(np.linalg.norm(m @ x - lam * x))
-    res_left = float(np.linalg.norm(m.conj().T @ y - np.conj(lam) * y))
-    if res_right > tol or res_left > tol:
-        raise NumericalError(f"eigenvector residuals {res_right:.3e}/{res_left:.3e} "
-                             f"exceed tolerance {tol:.3e}")
-    return x, y, res_right, res_left
+    if gap_tol is not None and diag.size > 1:
+        gap = float(np.min(np.abs(np.delete(diag, k) - diag[k])))
+        if gap <= gap_tol * anorm:
+            raise ClusteredSpectrumError(
+                f"eigenvalue {lam!r} is not simple: nearest other eigenvalue at distance "
+                f"{pow2_scale(gap, -s):.3e} (threshold {pow2_scale(gap_tol * anorm, -s):.3e})",
+                cluster=(lam,))
+    if dist[k] > tol:
+        raise ValueError(f"{lam!r} is not an eigenvalue within tolerance (nearest "
+                         f"eigenvalue at distance {pow2_scale(dist[k], -s):.3e} > "
+                         f"{pow2_scale(tol, -s):.3e})")
+    pair = schur_eigenpair(form, k)
+    lams = np.array([pair.eigenvalue])
+    verified_residuals(ms, lams, pair.x[:, None], tol)
+    if gap_tol is not None:
+        verified_residuals(ms, lams, pair.y[:, None], tol, left=True)
+    return pair, s
 
 
 def right_eigenvector(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL) -> np.ndarray:
     """Unit right eigenvector for lam (no simplicity requirement)."""
-    m = as_matrix(a, square=True)
-    x, _, _, _ = _svd_eigenpair(m, complex(lam), residual_tol)
-    return x
-
-
-def _simple_gap(m: np.ndarray, lam: complex, anorm: float, gap_tol: float) -> None:
-    """Raise if lam is not numerically simple in the spectrum of m."""
-    n = m.shape[0]
-    if n < 2:
-        return
-    w = np.linalg.eigvals(m)
-    k = int(np.argmin(np.abs(w - lam)))
-    gap = float(np.min(np.abs(np.delete(w, k) - lam)))
-    if gap <= gap_tol * anorm:
-        raise ClusteredSpectrumError(
-            f"eigenvalue {lam!r} is not simple: nearest other eigenvalue at distance "
-            f"{gap:.3e} (threshold {gap_tol * anorm:.3e})",
-            cluster=(lam,))
+    return locate_eigenpair(a, lam, residual_tol=residual_tol)[0].x
 
 
 def right_left_eigenpair(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
@@ -159,32 +281,8 @@ def right_left_eigenpair(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
     Raises ValueError when lam is not an eigenvalue to tolerance and
     ClusteredSpectrumError when it is not numerically simple.
     """
-    m = as_matrix(a, square=True)
-    lam = complex(lam)
-    _simple_gap(m, lam, float(np.linalg.norm(m)), gap_tol)
-    x, y, _, _ = _svd_eigenpair(m, lam, residual_tol)
-    return x, y
-
-
-def unitary_with_first_column(x, *, tol: float = 1e-12) -> np.ndarray:
-    """Unitary matrix whose first column is the given unit vector.
-
-    Householder construction: with alpha = -x_1/|x_1| (alpha = -1 when
-    x_1 = 0) the reflector H mapping x to alpha*e_1 is never degenerate, and
-    Q = H * diag(alpha, 1, ..., 1) satisfies Q e_1 = x.
-    """
-    v = np.asarray(x, dtype=np.complex128).ravel()
-    if v.size < 1 or not np.all(np.isfinite(v)):
-        raise ValueError("expected a finite nonempty vector")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"expected a unit vector, got norm {nrm!r}")
-    alpha = -(v[0] / abs(v[0])) if v[0] != 0 else -1.0 + 0.0j
-    w = v.copy()
-    w[0] -= alpha
-    q = np.eye(v.size, dtype=np.complex128) - 2.0 * np.outer(w, w.conj()) / (w.conj() @ w)
-    q[:, 0] *= alpha
-    return q
+    pair, _ = locate_eigenpair(a, lam, residual_tol=residual_tol, gap_tol=gap_tol)
+    return pair.x, pair.y
 
 
 def write_matrix(path, a) -> None:

@@ -45,3 +45,59 @@ def brute_nearest_neighbor_distances(points):
 def brute_min_separation(points):
     """Oracle: minimum pairwise distance by a scan over all pairs."""
     return float(brute_nearest_neighbor_distances(points).min())
+
+
+def unitary_with_first_column(x, *, tol=1e-12):
+    """Unitary matrix whose first column is the given unit vector.
+
+    Householder construction: with alpha = -x_1/|x_1| (alpha = -1 when
+    x_1 = 0) the reflector H mapping x to alpha*e_1 is never degenerate, and
+    Q = H * diag(alpha, 1, ..., 1) satisfies Q e_1 = x.
+    """
+    v = np.asarray(x, dtype=np.complex128).ravel()
+    if v.size < 1 or not np.all(np.isfinite(v)):
+        raise ValueError("expected a finite nonempty vector")
+    nrm = float(np.linalg.norm(v))
+    if abs(nrm - 1.0) > tol:
+        raise ValueError(f"expected a unit vector, got norm {nrm!r}")
+    alpha = -(v[0] / abs(v[0])) if v[0] != 0 else -1.0 + 0.0j
+    w = v.copy()
+    w[0] -= alpha
+    q = np.eye(v.size, dtype=np.complex128) - 2.0 * np.outer(w, w.conj()) / (w.conj() @ w)
+    q[:, 0] *= alpha
+    return q
+
+
+def svd_condition_report(a, residual_tol=1e-8, block_tol=1e-8):
+    """Oracle: condition numbers by two SVDs and a Householder similarity
+    per eigenvalue, with no reordered Schur form.
+
+    Eigenvalues come from np.linalg.eigvals in the package's spectrum order.
+    For each, the last singular vectors of A - lam*I are the right and left
+    eigenvectors; kappa_lambda = 1/|y^H x| (inf below 1e-14) and kappa_x =
+    1/sigma_min of the block Q^H A Q [1:, 1:] - lam*I, where Q is the
+    Householder completion of x.  Returns (eigenvalues, kappa_lambda,
+    kappa_x, kappa_max_frob, kappa_max_op).
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    n = m.shape[0]
+    anorm = float(np.linalg.norm(m))
+    lams = np.linalg.eigvals(m)
+    angle = np.mod(np.angle(lams), 2.0 * math.pi)
+    lams = lams[np.lexsort((lams.imag, lams.real, angle, np.abs(lams)))]
+    tol = residual_tol * anorm
+    kl, kx = [], []
+    for lam in lams:
+        u, s, vh = np.linalg.svd(m - lam * np.eye(n))
+        assert s[-1] <= tol, f"{lam} is not an eigenvalue: sigma_min {s[-1]:.3e}"
+        x, y = vh[-1].conj(), u[:, -1]
+        overlap = abs(complex(y.conj() @ x))
+        kl.append(np.inf if overlap < 1e-14 else max(1.0, 1.0 / overlap))
+        q = unitary_with_first_column(x / np.linalg.norm(x))
+        t = q.conj().T @ m @ q
+        assert np.linalg.norm(t[1:, 0]) <= block_tol * anorm
+        smin = np.linalg.svd(t[1:, 1:] - lam * np.eye(n - 1), compute_uv=False)[-1]
+        kx.append(np.inf if smin == 0.0 else 1.0 / smin)
+    kx = np.array(kx)
+    no = float(np.linalg.svd(m, compute_uv=False)[0])
+    return lams, np.array(kl), kx, kx.max() * anorm, kx.max() * no

@@ -272,10 +272,11 @@ class TestManifest:
         assert manifest["seed"] == 5
         assert manifest["output_paths"] == [str(out_csv)]
 
-    def test_threads_flag_accepted(self, capsys):
-        code, _, err = run_cli(capsys, "lattice", "--n", "2", "--threads", "1")
+    def test_parameters_hold_only_inputs(self, capsys):
+        code, _, err = run_cli(capsys, "lattice", "--n", "2")
         assert code == 0
-        assert json.loads(err.splitlines()[-1])["parameters"]["threads"] == 1
+        assert json.loads(err.splitlines()[-1])["parameters"] == {"n": 2}
+        assert run_cli(capsys, "lattice", "--n", "2", "--threads", "1")[0] == 1
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -290,6 +291,27 @@ def test_nonfinite_configuration_csv_exit_1(capsys, tmp_path, bad):
         code, out, err = run_cli(capsys, *args)
         assert code == 1 and out == ""
         assert "line 4" in err and "not finite" in err
+
+
+def test_duplicate_points_exit_2(capsys, tmp_path):
+    path = str(tmp_path / "dup.csv")
+    Path(path).write_text("re,im\n0,0\n1,0\n1,0\n2,0\n")
+    for args in (("cond", "--diag", path),
+                 ("perturb", "--diag", path, "--eps", "1e-6"),
+                 ("asymptotics", "--p", "2", "--n-list", "2,4",
+                  "--generator", "file", "--file", path),
+                 ("optimize", "--n", "4", "--init", "file", "--file", path,
+                  "--max-iters", "5")):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == "", args
+    assert "not pairwise distinct" in err or "coincident" in err
+    code, out, err = run_cli(capsys, "asymptotics", "--p", "2", "--n-list", "2,4",
+                             "--generator", "file", "--file", path)
+    assert "first 4 points are not pairwise distinct" in err
+    # a prefix without the repeated point is still a valid configuration
+    code, out, _ = run_cli(capsys, "asymptotics", "--p", "2", "--n-list", "2",
+                           "--generator", "file", "--file", path)
+    assert code == 0 and len(out.splitlines()) == 2
 
 
 def _write_config(tmp_path):

@@ -5,12 +5,34 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_distinct_points, random_unitary
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import random_distinct_points, random_unitary, svd_condition_report
 from eigencond.conditioning import (condition_report, condition_report_diagonal,
                                     kappa_lambda, kappa_x,
                                     perturbation_experiment)
 from eigencond.errors import ClusteredSpectrumError, DuplicatePointsError
 from eigencond.lattice import Configuration, first_n_lattice_points
+from eigencond.linalg import right_eigenvector, right_left_eigenpair
+
+EPS = float(np.finfo(float).eps)
+
+
+def dense_matrix(family, n, seed):
+    """Ginibre, normal Q diag(z) Q^H with a lattice spectrum, or a unitarily
+    rotated Grcar matrix (-1 subdiagonal, ones on the diagonal and three
+    superdiagonals)."""
+    rng = np.random.default_rng(seed)
+    if family == "ginibre":
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return g / math.sqrt(2.0 * n)
+    q = random_unitary(rng, n)
+    if family == "normal":
+        z = 1.3 * np.exp(0.4j) * first_n_lattice_points(n).points
+        return (q * z) @ q.conj().T
+    grcar = np.eye(n) - np.eye(n, k=-1) + sum(np.eye(n, k=j) for j in (1, 2, 3))
+    return q.conj().T @ grcar @ q
 
 
 def report_fields(report):
@@ -48,11 +70,23 @@ class TestKappaLambda:
         expected = math.sqrt(1.0 + delta * delta) / delta
         assert kappa_lambda(a, 0.0) == pytest.approx(expected, rel=1e-10)
 
+    def test_left_solve_beyond_the_float_range(self):
+        # w = (-1e160, 5e319): the solve scales its right-hand side down
+        # by a power of two instead of overflowing
+        a = np.array([[0.0, 1.0, 0.0], [0.0, 1e-160, 1.0], [0.0, 0.0, 2e-160]],
+                     dtype=complex)
+        assert kappa_lambda(a, 0.0, gap_tol=0.0) == math.inf
+        _, y = right_left_eigenpair(a, 0.0, gap_tol=0.0)
+        assert np.allclose(y, [0.0, 0.0, 1.0], rtol=0, atol=1e-15)
+
     def test_at_least_one(self):
         rng = np.random.default_rng(2)
         g = (rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
         for lam in np.linalg.eigvals(g):
             assert kappa_lambda(g, lam) >= 1.0
+
+    def test_one_by_one(self):
+        assert kappa_lambda(np.array([[2.0 - 1.0j]]), 2.0 - 1.0j) == 1.0
 
     def test_identity_is_ill_posed(self):
         with pytest.raises(ClusteredSpectrumError):
@@ -70,6 +104,21 @@ class TestKappaX:
 
     def test_identity_is_infinite(self):
         assert math.isinf(kappa_x(np.eye(2, dtype=complex), 1.0))
+
+    def test_subnormal_gap_is_infinite(self):
+        # 1/1e-310 overflows; the left solve fails too, which kappa_x ignores
+        a = np.diag([0.0, 1e-310, 1.0]).astype(complex)
+        assert kappa_x(a, 0.0) == math.inf
+        assert kappa_x(a, 1.0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_beyond_the_float_range(self):
+        # a gap of 2^-1030 puts kappa_x = 2^1030 past the largest float, while
+        # the scale-invariant aggregate stays exact
+        a = np.diag([0.0, 2.0 ** -1030]).astype(complex)
+        assert kappa_x(a, 0.0) == math.inf
+        report = condition_report(a)
+        assert report.kappa_max_frob == 1.0 and report.kappa_max_op == 1.0
+        assert report.norm_frob == 2.0 ** -1030
 
     def test_rejects_1x1(self):
         with pytest.raises(ValueError):
@@ -144,6 +193,86 @@ class TestConditionReport:
             assert diag.kappa_max_op <= full.kappa_max_op * (1.0 + 1e-10)
 
 
+class TestSchurEngine:
+    @pytest.mark.parametrize("family", ["ginibre", "normal", "grcar"])
+    @pytest.mark.parametrize("n", [3, 17, 60])
+    def test_matches_svd_oracle(self, family, n):
+        a = dense_matrix(family, n, seed=n)
+        report = condition_report(a)
+        lams, kl, kx, kmax_frob, kmax_op = svd_condition_report(a)
+        nf = float(np.linalg.norm(a))
+        eigs = np.array([row.eigenvalue for row in report.per_eigenpair])
+        match = [int(np.argmin(np.abs(lams - z))) for z in eigs]
+        assert sorted(match) == list(range(n))
+        for row, j in zip(report.per_eigenpair, match):
+            for got, want in ((row.kappa_lambda, kl[j]), (row.kappa_x, kx[j])):
+                tol = 1e-10 + 8.0 * EPS * nf * want
+                assert abs(got - want) <= tol * max(got, want), (row.eigenvalue, got, want)
+        tol = 1e-10 + 8.0 * EPS * nf * kx.max()
+        assert report.kappa_max_frob == pytest.approx(kmax_frob, rel=tol)
+        assert report.kappa_max_op == pytest.approx(kmax_op, rel=tol)
+        assert report.norm_frob == pytest.approx(nf, rel=1e-14)
+
+    @pytest.mark.parametrize("family", ["ginibre", "grcar"])
+    def test_wrappers_agree_with_report_row_by_row(self, family):
+        a = dense_matrix(family, 12, seed=5)
+        report = condition_report(a)
+        for row in report.per_eigenpair:
+            lam = row.eigenvalue
+            assert kappa_lambda(a, lam) == row.kappa_lambda
+            assert kappa_x(a, lam) == row.kappa_x
+            x, y = right_left_eigenpair(a, lam)
+            assert np.array_equal(x, row.x) and np.array_equal(y, row.y)
+            assert np.array_equal(right_eigenvector(a, lam), row.x)
+
+    def test_residuals_are_reported_in_the_units_of_a(self):
+        a = dense_matrix("ginibre", 10, seed=3)
+        for scale in (1.0, 2.0 ** -600):
+            report = condition_report(a * scale)
+            nf = report.norm_frob
+            for row in report.per_eigenpair:
+                lam = row.eigenvalue
+                res_r = np.linalg.norm((a * scale) @ row.x - lam * row.x)
+                assert row.residuals[0] == pytest.approx(res_r, rel=1e-6, abs=1e-15 * nf)
+                assert max(row.residuals) <= 1e-8 * nf
+
+    @pytest.mark.parametrize("scale", [2.0 ** 530, 1e160, 2.0 ** -530, 2.0 ** -1000, 1e-300])
+    def test_far_from_unit_scale(self, scale):
+        a = dense_matrix("ginibre", 8, seed=11)
+        base = condition_report(a)
+        scaled = condition_report(a * scale)
+        assert scaled.kappa_max_frob == pytest.approx(base.kappa_max_frob, rel=1e-12)
+        assert scaled.kappa_max_op == pytest.approx(base.kappa_max_op, rel=1e-12)
+        for r0, r1 in zip(base.per_eigenpair, scaled.per_eigenpair):
+            assert r1.kappa_lambda == pytest.approx(r0.kappa_lambda, rel=1e-12)
+            assert r1.kappa_x * scale == pytest.approx(r0.kappa_x, rel=1e-12)
+
+    @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=2, max_value=8),
+           st.integers(min_value=-1000, max_value=1000))
+    def test_power_of_two_scaling_is_exact(self, seed, n, k):
+        # entries have |re| and |im| in [2^-20, 2^20], so every 2^k multiple
+        # stays a normal float
+        rng = np.random.default_rng(seed)
+        c = int(rng.integers(-18, 17))
+        parts = [rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(1.0, 2.0, (n, n))
+                 * np.exp2(c + rng.integers(-2, 3, (n, n))) for _ in range(2)]
+        a = parts[0] + 1j * parts[1]
+        b = np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+        try:
+            base = condition_report(a)
+        except ClusteredSpectrumError:
+            with pytest.raises(ClusteredSpectrumError):
+                condition_report(b)
+            return
+        scaled = condition_report(b)
+        assert scaled.kappa_max_frob == base.kappa_max_frob
+        assert scaled.kappa_max_op == base.kappa_max_op
+        for r0, r1 in zip(base.per_eigenpair, scaled.per_eigenpair):
+            assert r1.kappa_lambda == r0.kappa_lambda
+            assert r1.kappa_x == math.ldexp(r0.kappa_x, -k)
+            assert np.array_equal(r1.x, r0.x) and np.array_equal(r1.y, r0.y)
+
+
 class TestDiagonalFastPath:
     def test_two_points(self):
         report = condition_report_diagonal(Configuration([0.0, 1.0]))
@@ -199,6 +328,20 @@ class TestPerturbationExperiment:
         a = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(ValueError):
             perturbation_experiment(a, 0.5)
+
+    def test_seeds_draw_independent_trials(self):
+        # trial t of seed s draws from the stream (s, t): seed s + 1 must not
+        # replay trial 1 of seed s, so the worst ratios over seed 0's two
+        # trials differ from the worst over seed 0's first and seed 1's first
+        a = np.diag([0.0, 1.0, 3.0]).astype(complex)
+        two = perturbation_experiment(a, 1e-6, trials=2, seed=0)
+        first = perturbation_experiment(a, 1e-6, trials=1, seed=0)
+        other = perturbation_experiment(a, 1e-6, trials=1, seed=1)
+        for r2, r1 in zip(two.rows, first.rows):
+            assert r1.shift_ratio <= r2.shift_ratio and r1.angle_ratio <= r2.angle_ratio
+        replayed = [max(r1.shift_ratio, ro.shift_ratio)
+                    for r1, ro in zip(first.rows, other.rows)]
+        assert [r.shift_ratio for r in two.rows] != replayed
 
     def test_deterministic_given_seed(self):
         a = np.diag([0.0, 1.0, 3.0]).astype(complex)

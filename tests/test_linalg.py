@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import random_unitary, unitary_with_first_column
 from eigencond.errors import ClusteredSpectrumError
 from eigencond.linalg import (as_matrix, eigenvalues, frobenius_norm,
                               operator_norm, read_matrix, right_eigenvector,
                               right_left_eigenpair, schur,
-                              smallest_singular_value,
-                              unitary_with_first_column, write_matrix)
+                              smallest_singular_value, write_matrix)
 
 
 def ginibre(rng, n):
