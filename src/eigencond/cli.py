@@ -25,7 +25,8 @@ from . import __version__
 from .conditioning import (condition_report, condition_report_diagonal,
                            perturbation_experiment)
 from .errors import DuplicatePointsError, NumericalError, UsageError
-from .extremal import convergence_study, proposition_constant
+from .extremal import (convergence_study, proposition_constant,
+                       separation_functional)
 from .lattice import (CELL_AREA, Configuration, enumerate_lattice_in_disk,
                       first_n_sites, first_n_lattice_points)
 from .linalg import read_matrix
@@ -34,9 +35,13 @@ from .optimizer import OptimizerConfig, optimize
 SEED_ENV_VAR = "EIGENCOND_SEED"
 
 # Most lattice points one invocation may build (lattice --n/--r, reproduce
-# --n, asymptotics --n-list).  reproduce --n 1000000 peaks near 360 MB, and
+# --n, asymptotics --n-list).  reproduce --n 1000000 peaks near 150 MB, and
 # its arrays grow linearly in n.
 MAX_POINTS = 4_000_000
+
+# Largest optimize --n.  Each soft-objective evaluation holds several n x n
+# arrays at once: its measured peak is 72 n^2 bytes (288 MB at n = 2000).
+MAX_OPTIMIZE_POINTS = 2_000
 
 
 def _fmt(x) -> str:
@@ -79,11 +84,11 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _check_point_count(count: float, flag: str) -> None:
-    """Reject a request for more than MAX_POINTS points before building any."""
-    if count > MAX_POINTS:
+def _check_point_count(count: float, flag: str, limit: int = MAX_POINTS) -> None:
+    """Reject a request for more than limit points before building any."""
+    if count > limit:
         raise UsageError(f"{flag} asks for about {count:.4g} points; "
-                         f"the limit is {MAX_POINTS}")
+                         f"the limit is {limit}")
 
 
 def _n_list(text: str) -> list[int]:
@@ -149,7 +154,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_asymptotics)
 
     p = sub.add_parser("optimize", help="search for low separation-functional configurations")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True,
+                   help=f"number of points (n <= {MAX_OPTIMIZE_POINTS})")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--restarts", type=_positive_int, default=1)
     p.add_argument("--init", choices=("lattice", "random", "file"), default="lattice")
@@ -346,6 +352,7 @@ def _cmd_asymptotics(ns) -> None:
 
 
 def _cmd_optimize(ns) -> None:
+    _check_point_count(ns.n, "--n", MAX_OPTIMIZE_POINTS)
     seed = _resolve_seed(ns)
     init_points = None
     if ns.init == "file":
@@ -378,19 +385,19 @@ def _cmd_optimize(ns) -> None:
 def reproduce_rows(n: int) -> list[dict]:
     """Measured kappa_max growth ratios against the leading-order constants.
 
-    Builds the first-n lattice configuration, reads kappa_max_frob and
-    kappa_max_op off the diagonal fast path, and normalizes by n and sqrt(n).
+    For Diag(z) kappa_max_frob and kappa_max_op are the separation
+    functionals S_2 and S_inf, so they are read off the first-n lattice
+    configuration (analytic separation 1) without a neighbour search or any
+    per-site report, and normalized by n and sqrt(n).
     """
     if n < 100:
         raise ValueError("reproduce needs n >= 100 (asymptotic regime)")
     config = first_n_lattice_points(n)
-    report = condition_report_diagonal(config)
     rows = []
-    for label, measured, scale, target in (
-            ("frobenius", report.kappa_max_frob, float(n), proposition_constant(2.0)),
-            ("operator", report.kappa_max_op, math.sqrt(float(n)),
-             proposition_constant(math.inf))):
-        ratio = measured / scale
+    for label, p, scale in (("frobenius", 2.0, float(n)),
+                            ("operator", math.inf, math.sqrt(float(n)))):
+        target = proposition_constant(p)
+        ratio = separation_functional(config, p) / scale
         rows.append({"norm": label, "n": n, "measured_ratio": ratio,
                      "target": target, "rel_deviation": abs(ratio - target) / target})
     return rows

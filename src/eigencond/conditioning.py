@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteredSpectrumError, DuplicatePointsError
-from .extremal import modulus_p_norm
+from .extremal import modulus_p_norm, separation_functional
 from .lattice import (Configuration, nearest_neighbor_distances,
                       pairwise_min_separation)
 from .linalg import (EIG_GAP_TOL, EIG_RESIDUAL_TOL, as_matrix, pow2_scale,
@@ -167,28 +167,32 @@ def condition_report_diagonal(c: Configuration) -> ConditionReport:
     """Conditioning of Diag(z_1, ..., z_n) from pairwise gaps alone.
 
     kappa_lambda = 1 for every entry, kappa_x(e_i) is the reciprocal nearest
-    gap, and the aggregates are ||z||_2 / min gap and ||z||_inf / min gap.
-    Per-point gaps are floored at the configuration's cached global
-    separation so the report is consistent with it to the last bit.
+    gap, and the aggregates are the separation functionals S_2 and S_inf
+    (||z||_2 / min gap and ||z||_inf / min gap).  Per-point gaps are floored
+    at the configuration's global separation so the report is consistent
+    with it to the last bit.
     """
     pts = c.points
     if c.n < 2:
         raise ValueError("condition reports need n >= 2")
     nnd = nearest_neighbor_distances(pts)
+    if c._min_sep is None:
+        # the number min_separation would compute with a second search
+        c._min_sep = float(nnd.min())
     gap = c.min_separation
     if gap == 0.0 or float(nnd.min()) == 0.0:
         raise DuplicatePointsError("diagonal entries must be pairwise distinct")
     order = _spectrum_order(pts)
-    gaps = np.maximum(nnd[order], gap)
-    rows = [EigenpairReport(eigenvalue=complex(z), x=None, y=None,
-                            kappa_lambda=1.0, kappa_x=1.0 / float(d),
-                            residuals=(0.0, 0.0))
-            for z, d in zip(pts[order], gaps)]
+    kx = (1.0 / np.maximum(nnd[order], gap)).tolist()
+    rows = [EigenpairReport(eigenvalue=z, x=None, y=None, kappa_lambda=1.0,
+                            kappa_x=k, residuals=(0.0, 0.0))
+            for z, k in zip(pts[order].tolist(), kx)]
     moduli = np.abs(pts)
-    nf = modulus_p_norm(moduli, 2.0)
-    no = float(moduli.max())
-    return ConditionReport(per_eigenpair=rows, kappa_max_frob=nf / gap,
-                           kappa_max_op=no / gap, norm_frob=nf, norm_op=no)
+    return ConditionReport(per_eigenpair=rows,
+                           kappa_max_frob=separation_functional(c, 2.0),
+                           kappa_max_op=separation_functional(c, math.inf),
+                           norm_frob=modulus_p_norm(moduli, 2.0),
+                           norm_op=float(moduli.max()))
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,8 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
     norm, perturbs A by eps*||A||*E, matches perturbed eigenpairs to the
     originals by nearest eigenvalue (ambiguous trials are excluded and
     counted), and records |lam_hat - lam| / (eps*||A||) and the principal
-    angle arccos|x_hat^H x| / (eps*||A||), keeping per-eigenvalue maxima.
+    angle atan2(||x_hat - x x^H x_hat||, |x^H x_hat|) / (eps*||A||), keeping
+    per-eigenvalue maxima.
     Trial t draws E from the stream default_rng((seed, t)), so no two seeds
     share a trial.
 
@@ -284,8 +289,13 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
             continue
         for i, j in enumerate(match):
             shift_max[i] = max(shift_max[i], abs(w[j] - lams[i]))
-            overlap = min(1.0, abs(complex(v[:, j].conj() @ vecs[:, i])))
-            angle_max[i] = max(angle_max[i], math.acos(overlap))
+        # theta = atan2(||x_hat - x (x^H x_hat)||, |x^H x_hat|) resolves small
+        # angles, which acos(|x^H x_hat|) loses below ~1e-8
+        xh = v[:, match]
+        xh /= np.linalg.norm(xh, axis=0)
+        overlap = np.sum(vecs.conj() * xh, axis=0)
+        sine = np.linalg.norm(xh - vecs * overlap, axis=0)
+        np.maximum(angle_max, np.arctan2(sine, np.abs(overlap)), out=angle_max)
     rows = [PerturbationRow(eigenvalue=complex(lams[i]),
                             kappa_lambda=base.per_eigenpair[i].kappa_lambda,
                             kappa_x=base.per_eigenpair[i].kappa_x,

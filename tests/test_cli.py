@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigencond.cli import MAX_POINTS, main, read_configuration_csv
+import eigencond.cli
+import eigencond.conditioning
+import eigencond.lattice
+from eigencond.cli import (MAX_OPTIMIZE_POINTS, MAX_POINTS, main,
+                           read_configuration_csv, reproduce_rows)
+from eigencond.conditioning import condition_report_diagonal
+from eigencond.extremal import separation_functional
+from eigencond.lattice import first_n_lattice_points
 from eigencond.linalg import write_matrix
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -125,6 +132,26 @@ class TestCondCommand:
     def test_missing_file_exit_1(self, capsys):
         assert run_cli(capsys, "cond", "/nonexistent/path.mat")[0] == 1
 
+    def test_diag_searches_neighbours_once(self, capsys, tmp_path, monkeypatch):
+        # a CSV has no analytic separation: the report's own search supplies it
+        config_csv = tmp_path / "c.csv"
+        run_cli(capsys, "lattice", "--n", "500", "--output", str(config_csv))
+        calls = []
+        search = eigencond.lattice.nearest_neighbor_distances
+
+        def counted(points):
+            calls.append(len(points))
+            return search(points)
+
+        monkeypatch.setattr(eigencond.lattice, "nearest_neighbor_distances", counted)
+        monkeypatch.setattr(eigencond.conditioning, "nearest_neighbor_distances", counted)
+        code, out, _ = run_cli(capsys, "cond", "--diag", str(config_csv))
+        assert code == 0 and calls == [500]
+        footer = out.splitlines()[-1].split(",")
+        config = read_configuration_csv(config_csv)
+        assert float(footer[1]) == separation_functional(config, 2.0)
+        assert float(footer[2]) == separation_functional(config, math.inf)
+
 
 class TestPerturbCommand:
     def test_ratios_against_kappas(self, capsys, diag012_file):
@@ -234,6 +261,16 @@ class TestOptimizeCommand:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    def test_size_guard_rejects_before_optimizing(self, capsys, monkeypatch):
+        def never(cfg):
+            raise AssertionError("optimize ran past the size guard")
+
+        monkeypatch.setattr(eigencond.cli, "optimize", never)
+        code, out, err = run_cli(capsys, "optimize", "--n", str(MAX_OPTIMIZE_POINTS + 1))
+        assert code == 1 and out == ""
+        assert f"limit is {MAX_OPTIMIZE_POINTS}" in err
+        assert MAX_OPTIMIZE_POINTS >= 60  # the benchmark's largest optimize --n
+
 
 class TestReproduceCommand:
     def test_small_run(self, capsys):
@@ -250,6 +287,37 @@ class TestReproduceCommand:
 
     def test_requires_n_at_least_100(self, capsys):
         assert run_cli(capsys, "reproduce", "--n", "50")[0] == 1
+
+    @pytest.mark.parametrize("n", [100, 101, 4999, 20000, 123457])
+    def test_rows_equal_the_diagonal_report(self, n):
+        # the full per-site report is the oracle for the two functionals
+        report = condition_report_diagonal(first_n_lattice_points(n))
+        frob, op = reproduce_rows(n)
+        assert frob["measured_ratio"] == report.kappa_max_frob / float(n)
+        assert op["measured_ratio"] == report.kappa_max_op / math.sqrt(float(n))
+        # and the aggregates agree with the report's own rows (separation 1)
+        eigs = np.array([row.eigenvalue for row in report.per_eigenpair])
+        assert report.kappa_max_op == np.abs(eigs).max()
+        assert report.kappa_max_frob == pytest.approx(np.linalg.norm(eigs), rel=1e-13)
+
+    def test_runs_without_a_neighbour_search(self, monkeypatch):
+        expected = reproduce_rows(5000)
+
+        def forbidden(points):
+            raise AssertionError("reproduce ran a neighbour search")
+
+        monkeypatch.setattr(eigencond.lattice, "nearest_neighbor_distances", forbidden)
+        monkeypatch.setattr(eigencond.conditioning, "nearest_neighbor_distances", forbidden)
+        assert reproduce_rows(5000) == expected
+
+    def test_does_not_import_scipy_spatial(self):
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        code = ("import sys; from eigencond.cli import main; "
+                "assert main(['reproduce', '--n', '5000']) == 0; "
+                "sys.exit('scipy.spatial' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env=env)
+        assert result.returncode == 0, result.stderr
 
 
 class TestManifest:

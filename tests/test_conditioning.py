@@ -343,6 +343,26 @@ class TestPerturbationExperiment:
                     for r1, ro in zip(first.rows, other.rows)]
         assert [r.shift_ratio for r in two.rows] != replayed
 
+    def test_small_angles_are_resolved(self):
+        # acos(|x^H x_hat|) cannot resolve angles below ~1e-8: it read 0 for
+        # six of these eigenvectors and exceeded the first-order bound for one
+        a = dense_matrix("ginibre", 30, 3)
+        result = perturbation_experiment(a, 1e-9, trials=50, seed=1)
+        angles = [row.angle_ratio for row in result.rows]
+        assert result.excluded_trials == 0
+        assert min(angles) > 0.0 and len(set(angles)) == 30
+        for row in result.rows:
+            assert row.angle_ratio <= row.kappa_x
+
+    def test_angle_ratio_does_not_depend_on_eps(self):
+        # every eps draws the same trial matrices, so the first-order ratios
+        # agree up to O(eps) and the rounding of the perturbed eigenvectors
+        a = dense_matrix("ginibre", 30, 3)
+        tiny, small = (perturbation_experiment(a, eps, trials=50, seed=1)
+                       for eps in (1e-9, 1e-7))
+        for r9, r7 in zip(tiny.rows, small.rows):
+            assert r9.angle_ratio == pytest.approx(r7.angle_ratio, rel=1e-4)
+
     def test_deterministic_given_seed(self):
         a = np.diag([0.0, 1.0, 3.0]).astype(complex)
         r1 = perturbation_experiment(a, 1e-6, trials=10, seed=5)
