@@ -3,8 +3,10 @@
 Subcommands: lattice, cond, perturb, asymptotics, optimize, reproduce.
 All CSV output carries headers and uses shortest round-trip float formatting;
 every run emits a one-line JSON manifest on stderr (and optionally to a
-file).  Randomized subcommands take --seed, with the EIGENCOND_SEED
-environment variable as fallback; a fixed seed reproduces output bit for bit.
+file).  Manifests and traces are strict JSON: a non-finite float is written
+as the string "inf", "-inf" or "nan".  Randomized subcommands take --seed,
+with the EIGENCOND_SEED environment variable as fallback; a fixed seed
+reproduces output bit for bit.
 
 Exit codes: 0 success, 1 usage error, 2 numerical ill-posedness.
 """
@@ -49,6 +51,23 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _json_ready(value):
+    """value with every non-finite float replaced by the string "inf",
+    "-inf" or "nan", which strict JSON parsers accept."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else _fmt(value)
+    if isinstance(value, dict):
+        return {key: _json_ready(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(item) for item in value]
+    return value
+
+
+def _to_json(value, **kwargs) -> str:
+    """Strict JSON: non-finite floats are written as strings (_json_ready)."""
+    return json.dumps(_json_ready(value), allow_nan=False, **kwargs)
+
+
 @dataclass
 class RunManifest:
     """Record of one invocation; rerunning it reproduces the primary outputs."""
@@ -60,7 +79,7 @@ class RunManifest:
     output_paths: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return _to_json(asdict(self), sort_keys=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -373,10 +392,9 @@ def _cmd_optimize(ns) -> None:
     if ns.trace:
         with open(ns.trace, "w", encoding="utf-8") as fh:
             for iteration, objective in result.trace:
-                fh.write(json.dumps({"iteration": iteration,
-                                     "objective": objective}) + "\n")
-            fh.write(json.dumps({"event": "done", "objective": result.objective,
-                                 "init_objective": result.init_objective}) + "\n")
+                fh.write(_to_json({"iteration": iteration, "objective": objective}) + "\n")
+            fh.write(_to_json({"event": "done", "objective": result.objective,
+                               "init_objective": result.init_objective}) + "\n")
     params = {"n": ns.n, "p": ns.p, "restarts": ns.restarts, "init": ns.init,
               "file": ns.file, "max_iters": ns.max_iters}
     _emit(ns, _manifest(ns, "optimize", params, seed), "\n".join(out) + "\n")

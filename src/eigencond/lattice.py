@@ -4,7 +4,7 @@ Sites carry integer coordinates (a, b) and live at z = (a + b/2) + i*b*sqrt(3)/2
 so the squared modulus is the integer quadratic form a^2 + a*b + b^2.  All
 disk-membership and ordering decisions are made on that exact integer form,
 which makes enumeration reproducible bit for bit: points are sorted by
-modulus, ties broken by argument in [0, 2*pi), then by (a, b).
+modulus, ties broken by argument in [0, 2*pi).
 """
 
 from __future__ import annotations
@@ -195,8 +195,10 @@ def _scan_rows(limit: float, strict: bool):
 def enumerate_lattice_in_disk(r, closed: bool = True) -> LatticeSites:
     """Every lattice point with |z| <= r (closed, with boundary slack) or |z| < r.
 
-    Deterministic order: by modulus, ties broken by argument in [0, 2*pi),
-    then lexicographically by (a, b).
+    Deterministic order: by the integer squared modulus, ties broken by
+    argument in [0, 2*pi).  No two sites tie: distinct sites of equal
+    modulus r lie on one circle at least 1 apart, so their arguments differ
+    by at least 1/r, far above the rounding of the computed angles.
     """
     r = _validate_radius(r)
     if closed:
@@ -211,7 +213,7 @@ def enumerate_lattice_in_disk(r, closed: bool = True) -> LatticeSites:
     bb = np.concatenate([np.full(a.size, b, dtype=np.int64) for a, b in rows])
     q = aa * (aa + bb) + bb * bb
     angle = np.mod(np.arctan2(bb * ROW_HEIGHT, aa + 0.5 * bb), 2.0 * math.pi)
-    order = np.lexsort((bb, aa, angle, q))
+    order = np.lexsort((angle, q))
     return LatticeSites.from_coords(aa[order], bb[order])
 
 
@@ -229,9 +231,11 @@ def first_n_sites(n: int) -> LatticeSites:
         raise ValueError("n must be at least 1")
     # invert the density count pi r^2 / cell area, then grow until enough
     r = math.sqrt(n * CELL_AREA / math.pi) + 2.0
-    while lattice_count(r) < n:
+    while True:
+        sites = enumerate_lattice_in_disk(r, closed=True)
+        if len(sites) >= n:
+            return sites.prefix(n)
         r *= 1.3
-    return enumerate_lattice_in_disk(r, closed=True).prefix(n)
 
 
 def first_n_lattice_points(n: int) -> Configuration:

@@ -12,6 +12,10 @@ triangular solve with the trailing block, and that block shifted by lam
 gives sigma_min for kappa_x.  Engine entry points prescale A by an exact
 power of two (prescale), so nothing depends on where ||A|| falls in the
 float range.
+
+scipy.linalg is imported inside schur and schur_eigenpair, the only
+functions that call it, so that importing the package and running the
+subcommands that factor no matrix do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
 
 from .errors import ClusteredSpectrumError, NumericalError
 
@@ -114,6 +116,8 @@ def schur(a, *, unitary_tol: float = UNITARY_TOL, triangular_tol: float = TRIANG
     Raises NumericalError if the QR iteration fails to converge or any of the
     unitarity / triangularity / reconstruction residuals exceeds tolerance.
     """
+    import scipy.linalg
+
     m = as_matrix(a, square=True)
     n = m.shape[0]
     try:
@@ -183,6 +187,9 @@ def schur_eigenpair(form: SchurForm, k: int) -> SchurEigenpair:
     separately linked BLAS runtime in a per-eigenpair loop costs more than
     the loop's own work.
     """
+    import scipy.linalg
+    from scipy.linalg import blas, lapack
+
     t, q, info = lapack.ztrexc(form.t, form.q, k + 1, 1)
     if info != 0:
         raise NumericalError(f"Schur reordering failed: ztrexc info {info}")

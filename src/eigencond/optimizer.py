@@ -31,6 +31,9 @@ _SURROGATE_P_FOR_INF = 64.0
 _POLISH_ROUNDS = 80
 _POLISH_STEP = 0.05
 _BACKTRACK_LIMIT = 30
+# exp of an argument at or below this is exactly 0, and numpy's exp is slow
+# on such arguments, so the soft objective does not evaluate it there
+_EXP_FLOOR = -746.0
 
 
 @dataclass(frozen=True)
@@ -108,12 +111,12 @@ def _pair_distances(z: np.ndarray):
     return dz, d
 
 
-def _hard_objective(z: np.ndarray, p: float) -> float:
-    _, d = _pair_distances(z)
+def _hard_value(d: np.ndarray, moduli: np.ndarray, p: float) -> float:
+    """Hard objective of points with pair distances d and moduli."""
     gap = float(d.min())
     if gap == 0.0:
         return math.inf
-    return modulus_p_norm(np.abs(z), p) / gap
+    return modulus_p_norm(moduli, p) / gap
 
 
 def _rescale_gauge(z: np.ndarray) -> np.ndarray:
@@ -123,17 +126,24 @@ def _rescale_gauge(z: np.ndarray) -> np.ndarray:
     return z if gap == 0.0 else z / gap
 
 
-def _soft_eval(z: np.ndarray, p: float, beta: float, with_grad: bool):
-    """Soft objective, the soft gap, and optionally the gradient."""
-    dz, d = _pair_distances(z)
+def _soft_eval(z: np.ndarray, p: float, beta: float, with_grad: bool,
+               pairs, moduli):
+    """Soft objective, the soft gap, and optionally the gradient.
+
+    pairs is _pair_distances(z) and moduli is np.abs(z); the caller builds
+    them, so one build can serve several evaluations.
+    """
+    dz, d = pairs
     dmin = float(d.min())
     if dmin == 0.0:
         raise NumericalError("coincident points: the soft gap is not defined")
     # max-exponent subtraction: entries of d - dmin are >= 0 (diag stays inf)
-    e = np.exp(-beta * (d - dmin))
+    x = -beta * (d - dmin)
+    e = np.zeros_like(d)
+    np.exp(x, out=e, where=x > _EXP_FLOOR)
+    del x  # freed before the gradient's n x n temporaries
     s = float(e.sum()) / 2.0
     softmin = dmin - math.log(s) / beta
-    moduli = np.abs(z)
     num = modulus_p_norm(moduli, p)
     f = num / softmin
     if not with_grad:
@@ -168,8 +178,8 @@ def soft_separation_functional(c: Configuration, p, beta) -> float:
         raise ValueError("beta must be positive")
     if c.n < 2:
         raise ValueError("need at least two points")
-    f, _, _ = _soft_eval(np.array(c.points), p, beta, with_grad=False)
-    return f
+    z = np.array(c.points)
+    return _soft_eval(z, p, beta, False, _pair_distances(z), np.abs(z))[0]
 
 
 def gradient(c: Configuration, p, beta) -> np.ndarray:
@@ -186,23 +196,28 @@ def gradient(c: Configuration, p, beta) -> np.ndarray:
         raise ValueError("beta must be positive")
     if c.n < 2:
         raise ValueError("need at least two points")
-    _, _, g = _soft_eval(np.array(c.points), p, beta, with_grad=True)
-    return g
+    z = np.array(c.points)
+    return _soft_eval(z, p, beta, True, _pair_distances(z), np.abs(z))[2]
 
 
 def _descend(z0: np.ndarray, p_smooth: float, p_true: float,
              betas, steps, max_iters: int):
-    """Continuation descent; tracks the best hard objective ever visited."""
+    """Continuation descent; tracks the best hard objective ever visited.
+
+    The pair distances and moduli of each accepted configuration are built
+    once and serve both its hard objective and the next gradient.
+    """
     z = _rescale_gauge(z0)
+    pairs, moduli = _pair_distances(z), np.abs(z)
     best_z = z.copy()
-    best_val = _hard_objective(z, p_true)
+    best_val = _hard_value(pairs[1], moduli, p_true)
     trace = [(0, best_val)]
     it = 0
     for beta, step0 in zip(betas, steps):
         step = step0
         for _ in range(max_iters):
             it += 1
-            f, _, g = _soft_eval(z, p_smooth, beta, with_grad=True)
+            f, _, g = _soft_eval(z, p_smooth, beta, True, pairs, moduli)
             gmax = float(np.abs(g).max())
             if not math.isfinite(gmax) or gmax == 0.0:
                 break
@@ -210,17 +225,22 @@ def _descend(z0: np.ndarray, p_smooth: float, p_true: float,
             s = step
             for _ in range(_BACKTRACK_LIMIT):
                 cand = z - s * g
+                cand_pairs = _pair_distances(cand)
                 try:
-                    fc, soft_c, _ = _soft_eval(cand, p_smooth, beta, with_grad=False)
+                    fc, soft_c, _ = _soft_eval(cand, p_smooth, beta, False,
+                                               cand_pairs, np.abs(cand))
                 except NumericalError:
                     fc, soft_c = math.inf, -1.0
                 if soft_c > 0.0 and fc < f:
-                    z = _rescale_gauge(cand)
+                    z = cand / float(cand_pairs[1].min())  # _rescale_gauge(cand)
+                    # free both old pair sets before building the new one
+                    pairs = cand_pairs = None
+                    pairs, moduli = _pair_distances(z), np.abs(z)
                     step = min(s * 1.5, 4.0 * step0)
                     accepted = True
                     break
                 s *= 0.5
-            val = _hard_objective(z, p_true)
+            val = _hard_value(pairs[1], moduli, p_true)
             trace.append((it, val))
             if val < best_val:
                 best_val = val

@@ -47,6 +47,25 @@ def brute_min_separation(points):
     return float(brute_nearest_neighbor_distances(points).min())
 
 
+def four_key_lattice_sites(r, closed=True):
+    """Oracle: (a, b) of every lattice site with |z| <= r (closed, with the
+    package's boundary slack) or |z| < r, found by scanning a bounding box
+    and sorted by four keys: the integer squared modulus, the argument in
+    [0, 2*pi), then a, then b."""
+    bound = int(math.ceil(2.0 * r)) + 3
+    a, b = (m.ravel() for m in np.meshgrid(np.arange(-bound, bound + 1, dtype=np.int64),
+                                           np.arange(-bound, bound + 1, dtype=np.int64)))
+    q = a * (a + b) + b * b
+    if closed:
+        keep = q <= (r * (1.0 + 8.0 * np.finfo(float).eps)) ** 2
+    else:
+        keep = q < r * r
+    a, b, q = a[keep], b[keep], q[keep]
+    angle = np.mod(np.arctan2(b * (math.sqrt(3.0) / 2.0), a + 0.5 * b), 2.0 * math.pi)
+    order = np.lexsort((b, a, angle, q))
+    return a[order], b[order]
+
+
 def unitary_with_first_column(x, *, tol=1e-12):
     """Unitary matrix whose first column is the given unit vector.
 

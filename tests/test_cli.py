@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,76 @@ class TestReproduceCommand:
         assert result.returncode == 0, result.stderr
 
 
+class TestDeferredImports:
+    def run_fresh(self, code):
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+
+    def test_subcommands_without_a_matrix_do_not_load_scipy_linalg(self):
+        code = textwrap.dedent("""
+            import sys
+            import eigencond, eigencond.cli
+            loaded = ['scipy.linalg' in sys.modules]
+            for argv in (['lattice', '--n', '50'], ['reproduce', '--n', '200'],
+                         ['asymptotics', '--p', '2', '--n-list', '10,100'],
+                         ['optimize', '--n', '5', '--max-iters', '5']):
+                assert eigencond.cli.main(argv) == 0, argv
+                loaded.append('scipy.linalg' in sys.modules)
+            print(loaded, file=sys.stderr)
+            """)
+        result = self.run_fresh(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == str([False] * 5)
+
+    def test_cold_cond_loads_scipy_linalg_and_matches(self, capsys, tmp_path):
+        rng = np.random.default_rng(11)
+        path = str(tmp_path / "g3.mat")
+        write_matrix(path, rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        code = textwrap.dedent(f"""
+            import sys
+            from eigencond.cli import main
+            before = 'scipy.linalg' in sys.modules
+            assert main(['cond', {path!r}]) == 0
+            print(before, 'scipy.linalg' in sys.modules, file=sys.stderr)
+            """)
+        result = self.run_fresh(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == "False True"
+        code, out, _ = run_cli(capsys, "cond", path)
+        assert code == 0 and result.stdout == out
+        assert len(out.splitlines()) == 5
+
+
+class TestRepeatedRuns:
+    def test_runs_in_one_process_keep_no_state(self, capsys, tmp_path, monkeypatch):
+        # one process: optimize with --trace and --seed, then runs without
+        # them; each manifest equals the one a fresh process writes
+        monkeypatch.delenv("EIGENCOND_SEED", raising=False)
+        env = {k: v for k, v in os.environ.items() if k != "EIGENCOND_SEED"}
+        env["PYTHONPATH"] = REPO_SRC
+        trace = str(tmp_path / "trace.jsonl")
+        runs = (["optimize", "--n", "6", "--max-iters", "5", "--trace", trace, "--seed", "3"],
+                ["reproduce", "--n", "200"],
+                ["perturb", "--diag", _write_config(tmp_path), "--eps", "1e-6",
+                 "--trials", "3"])
+        in_process = []
+        for k, argv in enumerate(runs):
+            man = tmp_path / f"in{k}.json"
+            assert run_cli(capsys, *argv, "--manifest", str(man))[0] == 0
+            in_process.append(json.loads(man.read_text()))
+        assert in_process[0]["seed"] == 3 and in_process[0]["output_paths"] == ["-", trace]
+        assert in_process[1]["output_paths"] == ["-"] and in_process[1]["seed"] is None
+        assert in_process[2]["seed"] == 0
+        for k, argv in enumerate(runs):
+            man = tmp_path / f"fresh{k}.json"
+            result = subprocess.run([sys.executable, "-m", "eigencond", *argv,
+                                     "--manifest", str(man)],
+                                    capture_output=True, text=True, env=env)
+            assert result.returncode == 0, result.stderr
+            assert json.loads(man.read_text()) == in_process[k], argv
+
+
 class TestManifest:
     def test_stderr_manifest(self, capsys):
         code, _, err = run_cli(capsys, "lattice", "--n", "3")
@@ -345,6 +416,38 @@ class TestManifest:
         assert code == 0
         assert json.loads(err.splitlines()[-1])["parameters"] == {"n": 2}
         assert run_cli(capsys, "lattice", "--n", "2", "--threads", "1")[0] == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+class TestStrictJson:
+    def test_nonfinite_floats_are_strings(self):
+        value = {"p": math.inf, "list": [-math.inf, math.nan, 1.5], "pair": (0.1, 2)}
+        text = eigencond.cli._to_json(value, sort_keys=True)
+        assert text == '{"list": ["-inf", "nan", 1.5], "p": "inf", "pair": [0.1, 2]}'
+        finite = {"x": 0.1, "n": [1, 2.5], "s": None}
+        assert eigencond.cli._to_json(finite) == json.dumps(finite)
+
+    def test_infinite_p_manifests_parse(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        for argv in (["asymptotics", "--p", "inf", "--n-list", "10,100"],
+                     ["optimize", "--n", "8", "--p", "inf", "--init", "random",
+                      "--max-iters", "5", "--trace", str(trace)]):
+            man = tmp_path / "run.json"
+            code, _, err = run_cli(capsys, *argv, "--manifest", str(man))
+            assert code == 0
+            for text in (err.splitlines()[-1], man.read_text()):
+                assert strict_json(text)["parameters"]["p"] == "inf"
+        lines = trace.read_text().splitlines()
+        assert len(lines) > 2
+        assert all(math.isfinite(strict_json(ln)["objective"]) for ln in lines)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

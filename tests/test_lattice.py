@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_min_separation, brute_nearest_neighbor_distances
+from conftest import (brute_min_separation, brute_nearest_neighbor_distances,
+                      four_key_lattice_sites)
+import eigencond.lattice
 from eigencond.lattice import (Configuration, _kd_tree_nearest, enumerate_lattice_in_disk,
                                first_n_lattice_points, first_n_sites,
                                lattice_count, nearest_neighbor_distances,
@@ -74,6 +76,40 @@ def test_ordering_modulus_then_angle_then_coords():
     pts = enumerate_lattice_in_disk(1.0, closed=True)
     assert coords(pts) == [
         (0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+
+
+@pytest.mark.parametrize("r, closed", [(0.0, True), (1.0, True), (37.25, False),
+                                       (160.5, True)])
+def test_disk_order_matches_four_key_oracle(r, closed):
+    # (a, b) never decide the order: no two sites tie on (modulus, argument)
+    sites = enumerate_lattice_in_disk(r, closed=closed)
+    a, b = four_key_lattice_sites(r, closed)
+    assert np.array_equal(sites.a, a) and np.array_equal(sites.b, b)
+
+
+def test_prefixes_match_four_key_oracle():
+    a, b = four_key_lattice_sites(185.0)
+    for n in (1, 2, 7, 8, 100, 4999, 20000, 65432, 100000):
+        sites = first_n_sites(n)
+        assert np.array_equal(sites.a, a[:n]) and np.array_equal(sites.b, b[:n]), n
+
+
+def test_first_n_sites_scans_the_disk_once(monkeypatch):
+    expected = coords(first_n_sites(5000))
+    calls = []
+    enumerate_disk = eigencond.lattice.enumerate_lattice_in_disk
+
+    def counted(r, closed=True):
+        calls.append(r)
+        return enumerate_disk(r, closed=closed)
+
+    def forbidden(r):
+        raise AssertionError("first_n_sites counted the disk before enumerating it")
+
+    monkeypatch.setattr(eigencond.lattice, "lattice_count", forbidden)
+    monkeypatch.setattr(eigencond.lattice, "enumerate_lattice_in_disk", counted)
+    assert coords(first_n_sites(5000)) == expected
+    assert len(calls) == 1
 
 
 def test_enumeration_is_bit_stable():
