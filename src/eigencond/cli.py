@@ -31,7 +31,7 @@ from .extremal import (convergence_study, proposition_constant,
                        separation_functional)
 from .lattice import (CELL_AREA, Configuration, enumerate_lattice_in_disk,
                       first_n_sites, first_n_lattice_points)
-from .linalg import read_matrix
+from .linalg import pinned_blas_threads, read_matrix
 from .optimizer import OptimizerConfig, optimize
 
 SEED_ENV_VAR = "EIGENCOND_SEED"
@@ -70,13 +70,19 @@ def _to_json(value, **kwargs) -> str:
 
 @dataclass
 class RunManifest:
-    """Record of one invocation; rerunning it reproduces the primary outputs."""
+    """Record of one invocation; rerunning it reproduces the primary outputs.
+
+    environment is set by runs of the dense engine (cond on a matrix file,
+    perturb): blas_threads maps each OpenBLAS library to the thread count
+    the engine ran it at, null where the library exports no thread control.
+    """
 
     subcommand: str
     parameters: dict
     seed: int | None
     tool_version: str = __version__
     output_paths: list = field(default_factory=list)
+    environment: dict | None = None
 
     def to_json(self) -> str:
         return _to_json(asdict(self), sort_keys=True)
@@ -275,12 +281,13 @@ def _emit(ns, manifest: RunManifest, text: str) -> None:
             fh.write(manifest.to_json() + "\n")
 
 
-def _manifest(ns, subcommand: str, parameters: dict, seed: int | None) -> RunManifest:
+def _manifest(ns, subcommand: str, parameters: dict, seed: int | None,
+              environment: dict | None = None) -> RunManifest:
     outputs = [ns.output or "-"]
     if getattr(ns, "trace", None):
         outputs.append(ns.trace)
     return RunManifest(subcommand=subcommand, parameters=parameters, seed=seed,
-                       output_paths=outputs)
+                       output_paths=outputs, environment=environment)
 
 
 def _cmd_lattice(ns) -> None:
@@ -315,11 +322,13 @@ def _condition_rows(report) -> list[str]:
 def _cmd_cond(ns) -> None:
     if ns.diag is not None and ns.matrix is None:
         report = condition_report_diagonal(read_configuration_csv(ns.diag))
-        params = {"diag": ns.diag}
+        params, environment = {"diag": ns.diag}, None
     else:
         report = condition_report(_load_matrix_or_diag(ns))
         params = {"matrix": ns.matrix}
-    _emit(ns, _manifest(ns, "cond", params, None), "\n".join(_condition_rows(report)) + "\n")
+        environment = {"blas_threads": pinned_blas_threads()}
+    _emit(ns, _manifest(ns, "cond", params, None, environment),
+          "\n".join(_condition_rows(report)) + "\n")
 
 
 def _cmd_perturb(ns) -> None:
@@ -337,7 +346,9 @@ def _cmd_perturb(ns) -> None:
     lines.append(f"excluded_trials,{result.excluded_trials}")
     params = {"matrix": ns.matrix, "diag": ns.diag, "eps": ns.eps,
               "trials": ns.trials, "norm": ns.norm}
-    _emit(ns, _manifest(ns, "perturb", params, seed), "\n".join(lines) + "\n")
+    environment = {"blas_threads": pinned_blas_threads()}
+    _emit(ns, _manifest(ns, "perturb", params, seed, environment),
+          "\n".join(lines) + "\n")
 
 
 def _cmd_asymptotics(ns) -> None:

@@ -26,8 +26,8 @@ from .extremal import modulus_p_norm, separation_functional
 from .lattice import (Configuration, nearest_neighbor_distances,
                       pairwise_min_separation)
 from .linalg import (EIG_GAP_TOL, EIG_RESIDUAL_TOL, as_matrix, pow2_scale,
-                     locate_eigenpair, operator_norm, prescale, schur,
-                     schur_eigenpair, verified_residuals)
+                     locate_eigenpair, one_blas_thread, operator_norm, prescale,
+                     schur, schur_eigenpair, verified_residuals)
 
 OVERLAP_TOL = 1e-14        # |y^H x| below this reports kappa_lambda = +inf
 
@@ -123,6 +123,7 @@ def _require_simple_spectrum(lams: np.ndarray, anorm: float, gap_tol: float,
             cluster=[c for pair in clustered for c in pair])
 
 
+@one_blas_thread()
 def condition_report(a, *, residual_tol: float = EIG_RESIDUAL_TOL,
                      gap_tol: float = EIG_GAP_TOL) -> ConditionReport:
     """Full conditioning report from one Schur form; requires a simple spectrum.
@@ -238,6 +239,7 @@ def _match_eigenvalues(lams: np.ndarray, w: np.ndarray, min_gap: float):
     return match
 
 
+@one_blas_thread()
 def perturbation_experiment(a, epsilon: float, trials: int = 100,
                             norm_kind: str = "frob", seed: int = 0,
                             *, residual_tol: float = EIG_RESIDUAL_TOL,

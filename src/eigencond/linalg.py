@@ -16,11 +16,20 @@ float range.
 scipy.linalg is imported inside schur and schur_eigenpair, the only
 functions that call it, so that importing the package and running the
 subcommands that factor no matrix do not pay for loading it.
+
+Engine entry points run under one_blas_thread, which pins numpy's and
+scipy's OpenBLAS runtimes to one thread: at these sizes a second thread
+costs more than it saves, and the last bits of a factorization would
+otherwise depend on the host's thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +42,90 @@ EIG_GAP_TOL = 1e-8        # * ||A||_F: eigenvalues closer than this are clustere
 UNITARY_TOL = 1e-12       # * n: for ||Q^H Q - I||_F
 TRIANGULAR_TOL = 1e-12    # * ||A||_F: for the strictly lower part of T
 RECONSTRUCT_TOL = 1e-10   # * ||A||_F: for ||A - Q T Q^H||_F
+
+
+# (get, set) thread-count symbols of the OpenBLAS runtimes that numpy
+# (libscipy_openblas64_) and scipy (libscipy_openblas) wheels bundle
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_runtimes() -> tuple[tuple[str, tuple | None], ...]:
+    """(file name, (get, set) or None) for each OpenBLAS library in the process.
+
+    Libraries are found by their paths in /proc/self/maps after scipy.linalg
+    is imported, so scipy's runtime is among them; get and set are the
+    library's thread-count functions, None where it exports neither pair of
+    _OPENBLAS_THREAD_SYMBOLS.  Where /proc/self/maps cannot be read
+    (not Linux) no library is found.  Looked up once per process.
+    """
+    import ctypes
+
+    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS)
+
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = sorted({parts[5].strip() for parts in (ln.split(maxsplit=5) for ln in fh)
+                            if len(parts) == 6 and "openblas" in parts[5].lower()})
+    except OSError:
+        return ()
+    runtimes = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        control = None
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                control = (get, put)
+                break
+        runtimes.append((os.path.basename(path), control))
+    return tuple(runtimes)
+
+
+def pinned_blas_threads() -> dict[str, int | None]:
+    """Thread count of each OpenBLAS library while one_blas_thread holds:
+    1, or None where the library exports no thread control."""
+    return {name: None if control is None else 1 for name, control in _openblas_runtimes()}
+
+
+_pin_lock = threading.Lock()
+_pin_holders = 0
+_pin_saved: list[int] = []
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block (or, as a decorator, the function) with every OpenBLAS
+    runtime that exports a thread control pinned to one thread.
+
+    The setting is process-wide: the first holder saves each runtime's
+    count and pins it, nested and concurrent holders share the pin, and the
+    last one out restores the saved counts, also when the block raises.
+    """
+    global _pin_holders, _pin_saved
+    controls = [control for _, control in _openblas_runtimes() if control is not None]
+    with _pin_lock:
+        if _pin_holders == 0:
+            _pin_saved = [get() for get, _ in controls]
+            for _, put in controls:
+                put(1)
+        _pin_holders += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_holders -= 1
+            if _pin_holders == 0:
+                for (_, put), count in zip(controls, _pin_saved):
+                    put(count)
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
@@ -238,6 +331,7 @@ def verified_residuals(m: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
     return res
 
 
+@one_blas_thread()
 def locate_eigenpair(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
                      gap_tol: float | None = None) -> tuple[SchurEigenpair, int]:
     """Engine entry for one eigenvalue: prescale, Schur form, locate, reorder.

@@ -1,12 +1,35 @@
 """Shared helpers and hypothesis settings for the suite."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
 settings.load_profile("suite")
+
+
+@pytest.fixture()
+def blas_threads():
+    """Thread counts of the OpenBLAS runtimes in the process: set(k) sets
+    every one to k, counts() returns the set of their counts.  The counts
+    found before the test are restored after it."""
+    from eigencond.linalg import _openblas_runtimes
+
+    controls = [control for _, control in _openblas_runtimes() if control is not None]
+    if not controls:
+        pytest.skip("no OpenBLAS runtime with a thread control in this process")
+    saved = [get() for get, _ in controls]
+
+    def set_all(k):
+        for _, put in controls:
+            put(k)
+
+    yield SimpleNamespace(set=set_all, counts=lambda: {get() for get, _ in controls})
+    for (_, put), count in zip(controls, saved):
+        put(count)
 
 
 def random_unitary(rng, n):

@@ -101,11 +101,30 @@ class TestCondCommand:
         assert float(footer[1]) == pytest.approx(math.sqrt(5.0), rel=1e-12)
         assert float(footer[2]) == pytest.approx(2.0, rel=1e-12)
 
+    def test_cold_stdout_does_not_depend_on_blas_threads(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 120
+        path = str(tmp_path / "g120.mat")
+        write_matrix(path, (rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=REPO_SRC, OPENBLAS_NUM_THREADS=threads)
+            runs.append(subprocess.run([sys.executable, "-m", "eigencond", "cond", path],
+                                       capture_output=True, text=True, env=env))
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert len(runs[0].stdout.splitlines()) == n + 2
+        for run in runs:
+            pinned = json.loads(run.stderr.splitlines()[-1])["environment"]["blas_threads"]
+            assert 1 in pinned.values() and set(pinned.values()) <= {1, None}
+
     def test_diag_fast_path_from_lattice_csv(self, capsys, tmp_path):
         config_csv = tmp_path / "c.csv"
         run_cli(capsys, "lattice", "--n", "7", "--output", str(config_csv))
-        code, out, _ = run_cli(capsys, "cond", "--diag", str(config_csv))
+        code, out, err = run_cli(capsys, "cond", "--diag", str(config_csv))
         assert code == 0
+        assert json.loads(err.splitlines()[-1])["environment"] is None
         footer = out.splitlines()[-1].split(",")
         assert float(footer[1]) == pytest.approx(math.sqrt(6.0), rel=1e-12)
         assert float(footer[2]) == pytest.approx(1.0, rel=1e-12)
@@ -399,6 +418,7 @@ class TestManifest:
         assert manifest["parameters"]["n"] == 3
         assert manifest["tool_version"]
         assert manifest["output_paths"] == ["-"]
+        assert manifest["environment"] is None
 
     def test_manifest_file(self, capsys, tmp_path):
         man = tmp_path / "run.json"
@@ -410,6 +430,7 @@ class TestManifest:
         assert manifest["subcommand"] == "perturb"
         assert manifest["seed"] == 5
         assert manifest["output_paths"] == [str(out_csv)]
+        assert 1 in manifest["environment"]["blas_threads"].values()
 
     def test_parameters_hold_only_inputs(self, capsys):
         code, _, err = run_cli(capsys, "lattice", "--n", "2")

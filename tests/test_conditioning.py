@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import eigencond.conditioning
 from conftest import random_distinct_points, random_unitary, svd_condition_report
 from eigencond.conditioning import (condition_report, condition_report_diagonal,
                                     kappa_lambda, kappa_x,
@@ -225,6 +226,17 @@ class TestSchurEngine:
             assert np.array_equal(x, row.x) and np.array_equal(y, row.y)
             assert np.array_equal(right_eigenvector(a, lam), row.x)
 
+    def test_two_blas_threads_give_the_one_thread_bits(self, blas_threads):
+        a = dense_matrix("ginibre", 120, seed=5)
+        blas_threads.set(1)
+        one = condition_report(a)
+        blas_threads.set(2)
+        two = condition_report(a)
+        assert report_fields(two) == report_fields(one)
+        for row in two.per_eigenpair[::30]:
+            assert kappa_lambda(a, row.eigenvalue) == row.kappa_lambda
+            assert kappa_x(a, row.eigenvalue) == row.kappa_x
+
     def test_residuals_are_reported_in_the_units_of_a(self):
         a = dense_matrix("ginibre", 10, seed=3)
         for scale in (1.0, 2.0 ** -600):
@@ -271,6 +283,46 @@ class TestSchurEngine:
             assert r1.kappa_lambda == r0.kappa_lambda
             assert r1.kappa_x == math.ldexp(r0.kappa_x, -k)
             assert np.array_equal(r1.x, r0.x) and np.array_equal(r1.y, r0.y)
+
+
+# eigenvalues 1, ..., 5, one of them _LAM5
+_A5 = np.diag(np.arange(1.0, 6.0)) + np.triu(np.full((5, 5), 0.5 + 0.5j), 1)
+_LAM5 = 3.0
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: condition_report(_A5), None),
+        (lambda: kappa_lambda(_A5, _LAM5), None),
+        (lambda: kappa_x(_A5, _LAM5), None),
+        (lambda: right_left_eigenpair(_A5, _LAM5), None),
+        (lambda: perturbation_experiment(_A5, 1e-8, trials=2), None),
+        (lambda: condition_report(np.eye(3, dtype=complex)), ClusteredSpectrumError),
+        (lambda: right_left_eigenpair(np.eye(2, dtype=complex), 1.0), ClusteredSpectrumError),
+        (lambda: kappa_x(_A5, 99.0), ValueError),
+    ])
+    def test_thread_counts_are_restored(self, blas_threads, call, error):
+        blas_threads.set(2)
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert blas_threads.counts() == {2}
+
+    def test_trials_stay_pinned_after_the_nested_report(self, blas_threads, monkeypatch):
+        blas_threads.set(2)
+        seen = []
+        real = eigencond.conditioning._match_eigenvalues
+
+        def spy(lams, w, min_gap):
+            seen.append(blas_threads.counts())
+            return real(lams, w, min_gap)
+
+        monkeypatch.setattr(eigencond.conditioning, "_match_eigenvalues", spy)
+        perturbation_experiment(_A5, 1e-8, trials=3)
+        assert seen == [{1}] * 3
+        assert blas_threads.counts() == {2}
 
 
 class TestDiagonalFastPath:

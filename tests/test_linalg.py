@@ -1,6 +1,8 @@
 """Schur form, eigenpairs, singular values, norms, and the matrix file format."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import random_unitary, unitary_with_first_column
 from eigencond.errors import ClusteredSpectrumError
 from eigencond.linalg import (as_matrix, eigenvalues, frobenius_norm,
-                              operator_norm, read_matrix, right_eigenvector,
+                              one_blas_thread, operator_norm, pinned_blas_threads,
+                              read_matrix, right_eigenvector,
                               right_left_eigenpair, schur,
                               smallest_singular_value, write_matrix)
 
@@ -190,6 +193,57 @@ class TestEigenpairs:
     def test_right_eigenvector_skips_simplicity(self):
         x = right_eigenvector(np.eye(2, dtype=complex), 1.0)
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+
+
+class TestOneBlasThread:
+    def test_pins_and_restores(self, blas_threads):
+        blas_threads.set(2)
+        with one_blas_thread():
+            assert blas_threads.counts() == {1}
+        assert blas_threads.counts() == {2}
+        with pytest.raises(RuntimeError):
+            with one_blas_thread():
+                raise RuntimeError
+        assert blas_threads.counts() == {2}
+
+    def test_nested_use_restores_the_outer_count(self, blas_threads):
+        blas_threads.set(2)
+        with one_blas_thread():
+            with one_blas_thread():
+                assert blas_threads.counts() == {1}
+            assert blas_threads.counts() == {1}
+        assert blas_threads.counts() == {2}
+
+    def test_concurrent_holders_share_the_pin(self, blas_threads):
+        # a holder that restored the counts while another still held the pin
+        # would let that one read 2
+        blas_threads.set(2)
+        unpinned = []
+
+        def hold():
+            for _ in range(300):
+                with one_blas_thread():
+                    counts = blas_threads.counts()
+                    if counts != {1}:
+                        unpinned.append(counts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hold) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert unpinned == []
+        assert blas_threads.counts() == {2}
+
+    def test_pinned_counts_cover_every_library(self, blas_threads):
+        pinned = pinned_blas_threads()
+        assert 1 in pinned.values() and set(pinned.values()) <= {1, None}
 
 
 class TestMatrixFile:
