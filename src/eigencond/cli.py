@@ -27,19 +27,23 @@ from . import __version__
 from .conditioning import (condition_report, condition_report_diagonal,
                            perturbation_experiment)
 from .errors import DuplicatePointsError, NumericalError, UsageError
-from .extremal import (convergence_study, proposition_constant,
-                       separation_functional)
+from .extremal import (convergence_study, lattice_prefix_functionals,
+                       proposition_constant)
 from .lattice import (CELL_AREA, Configuration, enumerate_lattice_in_disk,
-                      first_n_sites, first_n_lattice_points)
+                      first_n_sites)
 from .linalg import pinned_blas_threads, read_matrix
 from .optimizer import OptimizerConfig, optimize
 
 SEED_ENV_VAR = "EIGENCOND_SEED"
 
-# Most lattice points one invocation may build (lattice --n/--r, reproduce
-# --n, asymptotics --n-list).  reproduce --n 1000000 peaks near 150 MB, and
-# its arrays grow linearly in n.
+# Most lattice points one invocation may build (lattice --n/--r,
+# asymptotics --n-list).  Enumeration allocates at most 48 bytes per site
+# (tracemalloc peak of first_n_sites, 192 MB at this cap).
 MAX_POINTS = 4_000_000
+
+# Largest reproduce --n.  reproduce builds no sites: its shell sums take
+# O(sqrt(n)) time and memory, 30-40 ms at this cap.
+MAX_REPRODUCE_N = 10 ** 9
 
 # Largest optimize --n.  Each soft-objective evaluation holds several n x n
 # arrays at once: its measured peak is 72 n^2 bytes (288 MB at n = 2000).
@@ -192,7 +196,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reproduce", help="headline asymptotic constants at one n")
     p.add_argument("--n", type=_positive_int, required=True,
-                   help=f"configuration size (100 <= n <= {MAX_POINTS})")
+                   help=f"configuration size (100 <= n <= {MAX_REPRODUCE_N})")
     common(p)
     p.set_defaults(func=_cmd_reproduce)
 
@@ -415,18 +419,18 @@ def reproduce_rows(n: int) -> list[dict]:
     """Measured kappa_max growth ratios against the leading-order constants.
 
     For Diag(z) kappa_max_frob and kappa_max_op are the separation
-    functionals S_2 and S_inf, so they are read off the first-n lattice
-    configuration (analytic separation 1) without a neighbour search or any
-    per-site report, and normalized by n and sqrt(n).
+    functionals S_2 and S_inf.  On the first-n lattice prefix both come from
+    exact integer shell sums (lattice_prefix_functionals), with no site
+    enumerated, and are normalized by n and sqrt(n).
     """
     if n < 100:
         raise ValueError("reproduce needs n >= 100 (asymptotic regime)")
-    config = first_n_lattice_points(n)
+    s_2, s_inf = lattice_prefix_functionals(n)
     rows = []
-    for label, p, scale in (("frobenius", 2.0, float(n)),
-                            ("operator", math.inf, math.sqrt(float(n)))):
+    for label, p, value, scale in (("frobenius", 2.0, s_2, float(n)),
+                                   ("operator", math.inf, s_inf, math.sqrt(float(n)))):
         target = proposition_constant(p)
-        ratio = separation_functional(config, p) / scale
+        ratio = value / scale
         rows.append({"norm": label, "n": n, "measured_ratio": ratio,
                      "target": target, "rel_deviation": abs(ratio - target) / target})
     return rows
@@ -435,7 +439,7 @@ def reproduce_rows(n: int) -> list[dict]:
 def _cmd_reproduce(ns) -> None:
     if ns.n < 100:
         raise UsageError("reproduce needs --n >= 100")
-    _check_point_count(ns.n, "--n")
+    _check_point_count(ns.n, "--n", MAX_REPRODUCE_N)
     rows = reproduce_rows(ns.n)
     lines = ["norm,n,measured_ratio,target,rel_deviation"]
     for row in rows:

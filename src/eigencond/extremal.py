@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import Configuration, first_n_lattice_points
+from .lattice import Configuration, first_n_lattice_points, lattice_prefix_sums
 
 
 def _validate_p(p) -> float:
@@ -51,6 +51,19 @@ def separation_functional(c: Configuration, p) -> float:
     return modulus_p_norm(np.abs(c.points), p) / gap
 
 
+def lattice_prefix_functionals(n: int) -> tuple[float, float]:
+    """S_2 and S_inf of the first n lattice sites, from exact shell sums.
+
+    The prefix's minimum gap is exactly 1, so S_2 = sqrt(sum q) and
+    S_inf = sqrt(q_max); each exact integer is rounded to a float once.  No
+    site is enumerated (lattice_prefix_sums).
+    """
+    if int(n) < 2:
+        raise ValueError("the separation functional needs at least two points")
+    q_max, q_sum = lattice_prefix_sums(n)
+    return math.sqrt(float(q_sum)), math.sqrt(float(q_max))
+
+
 def proposition_constant(p) -> float:
     """Leading-order coefficient c_p of the minimal separation functional.
 
@@ -82,7 +95,11 @@ class AsymptoticRow:
 def convergence_study(p, n_values: Sequence[int],
                       generator: Callable[[int], Configuration] | None = None,
                       ) -> list[AsymptoticRow]:
-    """Evaluate S_p over a generator at increasing n, normalized by the growth scale."""
+    """Evaluate S_p over a generator at increasing n, normalized by the growth scale.
+
+    Without a generator the lattice prefix is used; at p = 2 and inf its
+    functional comes from lattice_prefix_functionals, with no enumeration.
+    """
     p = _validate_p(p)
     ns = [int(v) for v in n_values]
     if not ns:
@@ -92,8 +109,12 @@ def convergence_study(p, n_values: Sequence[int],
     gen = first_n_lattice_points if generator is None else generator
     target = proposition_constant(p)
     rows = []
+    exact = generator is None and p in (2.0, math.inf)
     for n in ns:
-        raw = separation_functional(gen(n), p)
+        if exact:
+            raw = lattice_prefix_functionals(n)[0 if p == 2.0 else 1]
+        else:
+            raw = separation_functional(gen(n), p)
         scale = _growth_scale(n, p)
         rows.append(AsymptoticRow(n=n, raw=raw, scale=scale, ratio=raw / scale,
                                   target=target))

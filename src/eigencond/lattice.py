@@ -1,10 +1,15 @@
 """Unit-side triangular lattice: enumeration, extremal prefixes, disk counts.
 
 Sites carry integer coordinates (a, b) and live at z = (a + b/2) + i*b*sqrt(3)/2,
-so the squared modulus is the integer quadratic form a^2 + a*b + b^2.  All
+so the squared modulus is the integer quadratic form q = a^2 + a*b + b^2.  All
 disk-membership and ordering decisions are made on that exact integer form,
 which makes enumeration reproducible bit for bit: points are sorted by
 modulus, ties broken by argument in [0, 2*pi).
+
+Counts and sums of q over a disk need no enumeration: with t = 2a + b,
+4q = t^2 + 3b^2, so row b of the disk q <= Q holds the t of b's parity with
+|t| <= isqrt(4Q - 3b^2), and each row's count and sum of t^2 are closed-form
+integers (_shell_sums).
 """
 
 from __future__ import annotations
@@ -21,6 +26,16 @@ CELL_AREA = ROW_HEIGHT             # determinant of the generator matrix
 # irrational except on a sparse set, but radii like r=1 hit points exactly
 # and must not be lost to rounding.
 _BOUNDARY_SLACK = 8.0 * np.finfo(float).eps
+
+# Largest bound Q that _shell_sums accepts.  Every per-row term stays below
+# 2^61 in int64 there (about 8 Q^1.5), and the disk holds about 3.1e11 sites.
+_MAX_SHELL_BOUND = 2 ** 38
+
+# Circumradius of a lattice site's hexagonal Voronoi cell (area CELL_AREA).
+# The cells of the sites with q <= Q lie in the disk of radius
+# sqrt(Q) + _CELL_RADIUS and cover the disk of radius sqrt(Q) - _CELL_RADIUS,
+# which brackets the count N(Q) between the two disk areas over CELL_AREA.
+_CELL_RADIUS = 1.0 / math.sqrt(3.0)
 
 # Up to this many points the full distance matrix (at most 64k entries) is
 # faster than a k-d tree, and it spares importing scipy.spatial, which adds
@@ -210,18 +225,86 @@ def enumerate_lattice_in_disk(r, closed: bool = True) -> LatticeSites:
         empty = np.empty(0, dtype=np.int64)
         return LatticeSites.from_coords(empty, empty)
     aa = np.concatenate([a for a, _ in rows])
-    bb = np.concatenate([np.full(a.size, b, dtype=np.int64) for a, b in rows])
+    bb = np.repeat(np.array([b for _, b in rows], dtype=np.int64), [a.size for a, _ in rows])
+    del rows
     q = aa * (aa + bb) + bb * bb
     angle = np.mod(np.arctan2(bb * ROW_HEIGHT, aa + 0.5 * bb), 2.0 * math.pi)
     order = np.lexsort((angle, q))
-    return LatticeSites.from_coords(aa[order], bb[order])
+    del q, angle
+    aa = aa[order]
+    bb = bb[order]
+    del order
+    return LatticeSites.from_coords(aa, bb)
+
+
+def _shell_sums(bound: int) -> tuple[int, int]:
+    """Exact (count, sum of q) over the lattice sites with q <= bound.
+
+    O(sqrt(bound)) time and memory: rows b >= 0 are handled as one vector,
+    each row b > 0 standing also for row -b, and the row totals are added as
+    Python ints.  bound may be negative (no sites); above _MAX_SHELL_BOUND
+    it is rejected, where int64 row terms could overflow.
+    """
+    bound = int(bound)
+    if bound < 0:
+        return 0, 0
+    if bound > _MAX_SHELL_BOUND:
+        raise ValueError(f"shell bound {bound} exceeds {_MAX_SHELL_BOUND}")
+    b = np.arange(math.isqrt(4 * bound // 3) + 1, dtype=np.int64)
+    x = 4 * bound - 3 * b * b
+    # t = isqrt(x): x < 2^41 is exact in a float and its correctly rounded
+    # root lies within 2^-31 of sqrt(x), while a non-square's root is at
+    # least 2^-22 below the next integer, so truncation cannot round up
+    t = np.sqrt(x.astype(float)).astype(np.int64)
+    odd = (b & 1).astype(bool)
+    # even rows hold t = 0, +-2, ..., +-2k; odd rows t = +-1, +-3, ..., +-(2k-1)
+    k = np.where(odd, (t + 1) // 2, t // 2)
+    count = np.where(odd, 2 * k, 2 * k + 1)
+    sum_t2 = np.where(odd, 2 * k * (2 * k - 1) * (2 * k + 1), 4 * k * (k + 1) * (2 * k + 1)) // 3
+    four_q = sum_t2 + 3 * b * b * count
+    count[1:] *= 2
+    four_q[1:] *= 2
+    return int(count.sum()), sum(four_q.tolist()) // 4
+
+
+def _prefix_bound(n: int) -> int:
+    """Smallest Q with N(Q) >= n, where N(Q) counts the sites with q <= Q."""
+    # the Voronoi-cell bracket (_CELL_RADIUS), widened by one for rounding,
+    # gives N(lo) < n <= N(hi); bisection keeps that invariant
+    s = math.sqrt(n * CELL_AREA / math.pi)
+    lo = math.floor((s - _CELL_RADIUS) ** 2) - 1 if s > _CELL_RADIUS else -1
+    hi = math.ceil((s + _CELL_RADIUS) ** 2) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _shell_sums(mid)[0] >= n:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def lattice_prefix_sums(n: int) -> tuple[int, int]:
+    """(q_max, sum of q) over the first n lattice sites, as exact ints.
+
+    The sites beyond the last full shell all have q = q_max, so these depend
+    only on n: no site is enumerated, in O(sqrt(n)) time and memory.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    q_max = _prefix_bound(n)
+    inside, q_sum = _shell_sums(q_max - 1)
+    return q_max, q_sum + (n - inside) * q_max
 
 
 def lattice_count(r) -> int:
     """Number of lattice points in the closed disk of radius r."""
     r = _validate_radius(r)
+    # q is an integer, so q <= limit exactly when q <= floor(limit)
     limit = (r * (1.0 + _BOUNDARY_SLACK)) ** 2
-    return sum(a.size for a, _ in _scan_rows(limit, strict=False))
+    if limit > _MAX_SHELL_BOUND:
+        raise ValueError(f"radius {r!r} is too large to count exactly")
+    return _shell_sums(math.floor(limit))[0]
 
 
 def first_n_sites(n: int) -> LatticeSites:
@@ -229,13 +312,9 @@ def first_n_sites(n: int) -> LatticeSites:
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    # invert the density count pi r^2 / cell area, then grow until enough
-    r = math.sqrt(n * CELL_AREA / math.pi) + 2.0
-    while True:
-        sites = enumerate_lattice_in_disk(r, closed=True)
-        if len(sites) >= n:
-            return sites.prefix(n)
-        r *= 1.3
+    # the closed disk of radius sqrt(Q) is exactly q <= Q: its boundary slack
+    # stays far below 1 in q
+    return enumerate_lattice_in_disk(math.sqrt(_prefix_bound(n)), closed=True).prefix(n)
 
 
 def first_n_lattice_points(n: int) -> Configuration:

@@ -13,12 +13,13 @@ import pytest
 
 import eigencond.cli
 import eigencond.conditioning
+import eigencond.extremal
 import eigencond.lattice
-from eigencond.cli import (MAX_OPTIMIZE_POINTS, MAX_POINTS, main,
+from eigencond.cli import (MAX_OPTIMIZE_POINTS, MAX_POINTS, MAX_REPRODUCE_N, main,
                            read_configuration_csv, reproduce_rows)
 from eigencond.conditioning import condition_report_diagonal
 from eigencond.extremal import separation_functional
-from eigencond.lattice import first_n_lattice_points
+from eigencond.lattice import first_n_lattice_points, first_n_sites
 from eigencond.linalg import write_matrix
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -67,13 +68,17 @@ class TestLatticeCommand:
 
     def test_size_guard_rejects_before_building(self, capsys):
         too_many = str(MAX_POINTS + 1)
-        for args in (("lattice", "--n", too_many), ("lattice", "--r", "1e9"),
-                     ("lattice", "--r", "1e200"), ("reproduce", "--n", too_many),
-                     ("asymptotics", "--p", "2", "--n-list", f"100,{too_many}")):
+        for args, limit in ((("lattice", "--n", too_many), MAX_POINTS),
+                            (("lattice", "--r", "1e9"), MAX_POINTS),
+                            (("lattice", "--r", "1e200"), MAX_POINTS),
+                            (("reproduce", "--n", str(MAX_REPRODUCE_N + 1)), MAX_REPRODUCE_N),
+                            (("asymptotics", "--p", "2", "--n-list", f"100,{too_many}"),
+                             MAX_POINTS)):
             code, out, err = run_cli(capsys, *args)
             assert code == 1 and out == ""
-            assert f"limit is {MAX_POINTS}" in err
-        assert MAX_POINTS >= 10 ** 6  # reproduce --n 1000000 stays admissible
+            assert f"limit is {limit}" in err
+        assert MAX_POINTS >= 10 ** 6  # lattice --n 1000000 stays admissible
+        assert MAX_REPRODUCE_N >= 10 ** 9  # reproduce --n 1000000000 stays admissible
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "pts.csv"
@@ -225,6 +230,21 @@ class TestAsymptoticsCommand:
             assert float(row[3]) == pytest.approx(float(row[1]) / float(row[2]), rel=1e-15)
             assert float(row[5]) == pytest.approx(float(row[3]) / float(row[4]), rel=1e-15)
 
+    @pytest.mark.parametrize("n", [100, 4999, 5000, 20000, 123457])
+    def test_lattice_raw_equals_reproduce(self, capsys, n):
+        # raw is the functional reproduce divides by its scale: both are the
+        # exact integer sums of the enumerated prefix, rounded once
+        sites = first_n_sites(n)
+        q = sites.a * (sites.a + sites.b) + sites.b * sites.b
+        frob, op = reproduce_rows(n)
+        for p, row, scale, exact in (("2", frob, float(n), int(q.sum())),
+                                     ("inf", op, math.sqrt(float(n)), int(q.max()))):
+            code, out, _ = run_cli(capsys, "asymptotics", "--p", p, "--n-list", str(n))
+            assert code == 0
+            raw = float(csv_rows(out)[1][0][1])
+            assert raw == math.sqrt(float(exact))
+            assert raw / scale == row["measured_ratio"]
+
     def test_infinite_p(self, capsys):
         code, out, _ = run_cli(capsys, "asymptotics", "--p", "inf", "--n-list", "100")
         assert code == 0
@@ -308,17 +328,63 @@ class TestReproduceCommand:
     def test_requires_n_at_least_100(self, capsys):
         assert run_cli(capsys, "reproduce", "--n", "50")[0] == 1
 
-    @pytest.mark.parametrize("n", [100, 101, 4999, 20000, 123457])
+    @pytest.mark.parametrize("n", [100, 101, 4999, 5000, 20000, 123457])
     def test_rows_equal_the_diagonal_report(self, n):
-        # the full per-site report is the oracle for the two functionals
-        report = condition_report_diagonal(first_n_lattice_points(n))
+        # oracle 1: exact integer sums over the enumerated prefix, each rounded
+        # to a float once, give the rows bit for bit
+        sites = first_n_sites(n)
+        q = sites.a * (sites.a + sites.b) + sites.b * sites.b
         frob, op = reproduce_rows(n)
-        assert frob["measured_ratio"] == report.kappa_max_frob / float(n)
-        assert op["measured_ratio"] == report.kappa_max_op / math.sqrt(float(n))
+        assert frob["measured_ratio"] == math.sqrt(float(int(q.sum()))) / float(n)
+        assert op["measured_ratio"] == math.sqrt(float(int(q.max()))) / math.sqrt(float(n))
+        # oracle 2: the full per-site report sums rounded moduli of a rounded
+        # embedding, so it agrees to within 2 ulp
+        report = condition_report_diagonal(first_n_lattice_points(n))
+        for measured, expected in ((frob["measured_ratio"], report.kappa_max_frob / float(n)),
+                                   (op["measured_ratio"],
+                                    report.kappa_max_op / math.sqrt(float(n)))):
+            assert abs(measured - expected) <= 2.0 * math.ulp(expected)
         # and the aggregates agree with the report's own rows (separation 1)
         eigs = np.array([row.eigenvalue for row in report.per_eigenpair])
         assert report.kappa_max_op == np.abs(eigs).max()
         assert report.kappa_max_frob == pytest.approx(np.linalg.norm(eigs), rel=1e-13)
+
+    def test_cap_matches_python_int_shell_sums(self):
+        # the rows at the cap from a pure-Python evaluation of the row sums
+        n = MAX_REPRODUCE_N
+
+        def shell(bound):
+            # row b holds t = -top', -top' + 2, ..., top' with t = b (mod 2),
+            # and 4q = t^2 + 3b^2; sum t^2 over the progression in closed form
+            count, four_q = 0, 0
+            rows = math.isqrt(4 * bound // 3)
+            for b in range(-rows, rows + 1):
+                top = math.isqrt(4 * bound - 3 * b * b)
+                start = -top + (top - b) % 2
+                m = len(range(start, top + 1, 2))
+                count += m
+                four_q += (m * start * start + 2 * start * m * (m - 1)
+                           + 2 * (m - 1) * m * (2 * m - 1) // 3 + 3 * b * b * m)
+            return count, four_q // 4
+
+        frob, op = reproduce_rows(n)
+        q_max = round((op["measured_ratio"] * math.sqrt(n)) ** 2)
+        below, q_sum = shell(q_max - 1)
+        assert below < n <= shell(q_max)[0]
+        q_sum += (n - below) * q_max
+        assert frob["measured_ratio"] == math.sqrt(float(q_sum)) / float(n)
+        assert op["measured_ratio"] == math.sqrt(float(q_max)) / math.sqrt(float(n))
+
+    def test_cap_is_checked_before_any_work(self, capsys, monkeypatch):
+        def forbidden(bound):
+            raise AssertionError("reproduce summed shells above its cap")
+
+        monkeypatch.setattr(eigencond.lattice, "_shell_sums", forbidden)
+        code, out, err = run_cli(capsys, "reproduce", "--n", str(MAX_REPRODUCE_N + 1))
+        assert code == 1 and out == "" and f"limit is {MAX_REPRODUCE_N}" in err
+        with pytest.raises(SystemExit):
+            main(["reproduce", "--help"])
+        assert f"n <= {MAX_REPRODUCE_N}" in capsys.readouterr().out
 
     def test_runs_without_a_neighbour_search(self, monkeypatch):
         expected = reproduce_rows(5000)
@@ -329,6 +395,21 @@ class TestReproduceCommand:
         monkeypatch.setattr(eigencond.lattice, "nearest_neighbor_distances", forbidden)
         monkeypatch.setattr(eigencond.conditioning, "nearest_neighbor_distances", forbidden)
         assert reproduce_rows(5000) == expected
+
+    def test_enumerates_no_site(self, monkeypatch):
+        expected = reproduce_rows(20000)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reproduce built sites or a configuration")
+
+        for module, name in ((eigencond.lattice, "enumerate_lattice_in_disk"),
+                             (eigencond.lattice, "first_n_sites"),
+                             (eigencond.lattice, "Configuration"),
+                             (eigencond.extremal, "first_n_lattice_points"),
+                             (eigencond.extremal, "separation_functional"),
+                             (np, "sort"), (np, "lexsort")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert reproduce_rows(20000) == expected
 
     def test_does_not_import_scipy_spatial(self):
         env = dict(os.environ, PYTHONPATH=REPO_SRC)

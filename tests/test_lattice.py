@@ -1,6 +1,7 @@
 """Lattice enumeration, disk counts, and configuration behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from conftest import (brute_min_separation, brute_nearest_neighbor_distances,
                       four_key_lattice_sites)
 import eigencond.lattice
-from eigencond.lattice import (Configuration, _kd_tree_nearest, enumerate_lattice_in_disk,
-                               first_n_lattice_points, first_n_sites,
-                               lattice_count, nearest_neighbor_distances,
-                               pairwise_min_separation, translate_to_centroid)
+from eigencond.lattice import (CELL_AREA, Configuration, _kd_tree_nearest, _shell_sums,
+                               enumerate_lattice_in_disk, first_n_lattice_points,
+                               first_n_sites, lattice_count, lattice_prefix_sums,
+                               nearest_neighbor_distances, pairwise_min_separation,
+                               translate_to_centroid)
 
 DENSITY = 2.0 * math.pi / math.sqrt(3.0)  # limit of count / r^2
 
@@ -110,6 +112,74 @@ def test_first_n_sites_scans_the_disk_once(monkeypatch):
     monkeypatch.setattr(eigencond.lattice, "enumerate_lattice_in_disk", counted)
     assert coords(first_n_sites(5000)) == expected
     assert len(calls) == 1
+
+
+def sorted_q(bound):
+    """Oracle: the sorted integer forms q of the enumerated disk q <= bound,
+    with their exact running sums (q_sum[k] = sum of the k smallest)."""
+    sites = enumerate_lattice_in_disk(math.sqrt(bound))
+    q = np.sort(sites.a * (sites.a + sites.b) + sites.b * sites.b)
+    assert q[-1] <= bound
+    return q, [0] + np.cumsum(q).tolist()
+
+
+def test_shell_sums_match_enumeration_for_every_small_bound():
+    q, q_sum = sorted_q(2000)
+    assert _shell_sums(-1) == (0, 0)
+    assert _shell_sums(0) == (1, 0)
+    for bound in range(2001):
+        count = int(np.searchsorted(q, bound, side="right"))
+        assert _shell_sums(bound) == (count, q_sum[count]), bound
+
+
+def test_shell_sums_on_and_next_to_shell_boundaries():
+    q, q_sum = sorted_q(40000)
+    shells = np.unique(q)
+    for shell in [*shells[:20], *shells[len(shells) // 2::997], shells[-1]]:
+        for bound in (int(shell) - 1, int(shell), int(shell) + 1):
+            if bound > 40000:
+                continue
+            count = int(np.searchsorted(q, bound, side="right"))
+            assert _shell_sums(bound) == (count, q_sum[count]), bound
+
+
+def test_prefix_sums_match_enumeration():
+    q, q_sum = sorted_q(36000)  # more than 10^5 sites
+    sizes = [*range(1, 301), *np.random.default_rng(7).integers(301, 100_001, 60).tolist(),
+             100_000]
+    for n in sizes:
+        assert lattice_prefix_sums(n) == (int(q[n - 1]), q_sum[n]), n
+    with pytest.raises(ValueError):
+        lattice_prefix_sums(0)
+
+
+def test_shell_sums_reject_bounds_beyond_int64_terms():
+    # at the largest bound the row terms do not wrap: count and sum keep to
+    # the disk's area pi Q / CELL_AREA and its integral pi Q^2 / (2 CELL_AREA)
+    bound = 2 ** 38
+    count, q_sum = _shell_sums(bound)
+    assert count == pytest.approx(math.pi * bound / CELL_AREA, rel=1e-9)
+    assert q_sum == pytest.approx(math.pi * bound ** 2 / (2.0 * CELL_AREA), rel=1e-9)
+    with pytest.raises(ValueError):
+        _shell_sums(2 ** 38 + 1)
+    with pytest.raises(ValueError):
+        lattice_count(1e6)
+
+
+def test_first_n_sites_identical_with_bounded_peak():
+    # oracle: enumerate a disk that surely holds n sites, then take the
+    # prefix, as the growth loop this replaces did
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        sites = first_n_sites(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * n  # the four-array enumeration this replaces peaked at 89
+    wide = enumerate_lattice_in_disk(math.sqrt(n * CELL_AREA / math.pi) + 2.0).prefix(n)
+    assert np.array_equal(sites.a, wide.a) and np.array_equal(sites.b, wide.b)
+    assert sites.z.tobytes() == wide.z.tobytes()
 
 
 def test_enumeration_is_bit_stable():
