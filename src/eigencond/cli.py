@@ -37,9 +37,10 @@ from .optimizer import OptimizerConfig, optimize
 SEED_ENV_VAR = "EIGENCOND_SEED"
 
 # Most lattice points one invocation may build (lattice --n/--r,
-# asymptotics --n-list).  Enumeration allocates at most 48 bytes per site
-# (tracemalloc peak of first_n_sites, 192 MB at this cap).
+# asymptotics --n-list).  first_n_sites peaks at 48 bytes per site under
+# tracemalloc; a cold lattice --n at this cap peaks at 214 MB RSS.
 MAX_POINTS = 4_000_000
+_CSV_CHUNK_ROWS = 16_384  # lattice CSV rows formatted at once (about 1 MB of text)
 
 # Largest reproduce --n.  reproduce builds no sites: its shell sums take
 # O(sqrt(n)) time and memory, 30-40 ms at this cap.
@@ -272,13 +273,14 @@ def _load_matrix_or_diag(ns) -> np.ndarray:
     return np.diag(config.points)
 
 
-def _emit(ns, manifest: RunManifest, text: str) -> None:
-    """Write the primary CSV and the manifest."""
+def _emit(ns, manifest: RunManifest, text) -> None:
+    """Write the primary CSV (a string, or an iterable of text chunks) and the manifest."""
+    chunks = [text] if isinstance(text, str) else text
     if ns.output:
         with open(ns.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     print(manifest.to_json(), file=sys.stderr)
     if ns.manifest:
         with open(ns.manifest, "w", encoding="utf-8") as fh:
@@ -294,6 +296,19 @@ def _manifest(ns, subcommand: str, parameters: dict, seed: int | None,
                        output_paths=outputs, environment=environment)
 
 
+def _lattice_csv(sites):
+    """The lattice CSV as text chunks of at most _CSV_CHUNK_ROWS rows."""
+    yield "index,a,b,re,im,modulus\n"
+    for lo in range(0, len(sites), _CSV_CHUNK_ROWS):
+        chunk = slice(lo, lo + _CSV_CHUNK_ROWS)
+        # tolist() yields Python numbers: !r formats floats as _fmt does, and
+        # the modulus is Python's complex abs (np.abs may differ in the last bit)
+        yield "".join(f"{idx},{a},{b},{w.real!r},{w.imag!r},{abs(w)!r}\n"
+                      for idx, a, b, w in zip(range(lo, lo + _CSV_CHUNK_ROWS),
+                                              sites.a[chunk].tolist(), sites.b[chunk].tolist(),
+                                              sites.z[chunk].tolist()))
+
+
 def _cmd_lattice(ns) -> None:
     if ns.n is not None:
         _check_point_count(ns.n, "--n")
@@ -305,13 +320,7 @@ def _cmd_lattice(ns) -> None:
         _check_point_count(math.pi * ns.r * ns.r / CELL_AREA, "--r")
         sites = enumerate_lattice_in_disk(ns.r, closed=not ns.open_disk)
         params = {"r": ns.r, "closed": not ns.open_disk}
-    # tolist() yields Python numbers: !r formats floats as _fmt does, and the
-    # modulus is Python's complex abs (np.abs may differ in the last bit)
-    lines = ["index,a,b,re,im,modulus"]
-    lines += [f"{idx},{a},{b},{w.real!r},{w.imag!r},{abs(w)!r}"
-              for idx, (a, b, w) in enumerate(zip(sites.a.tolist(), sites.b.tolist(),
-                                                  sites.z.tolist()))]
-    _emit(ns, _manifest(ns, "lattice", params, None), "\n".join(lines) + "\n")
+    _emit(ns, _manifest(ns, "lattice", params, None), _lattice_csv(sites))
 
 
 def _condition_rows(report) -> list[str]:

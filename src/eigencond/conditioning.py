@@ -25,9 +25,9 @@ from .errors import ClusteredSpectrumError, DuplicatePointsError
 from .extremal import modulus_p_norm, separation_functional
 from .lattice import (Configuration, nearest_neighbor_distances,
                       pairwise_min_separation)
-from .linalg import (EIG_GAP_TOL, EIG_RESIDUAL_TOL, as_matrix, pow2_scale,
-                     locate_eigenpair, one_blas_thread, operator_norm, prescale,
-                     schur, schur_eigenpair, verified_residuals)
+from .linalg import (EIG_GAP_TOL, EIG_RESIDUAL_TOL, as_matrix, frobenius_norm,
+                     locate_eigenpair, one_blas_thread, operator_norm, pow2_scale,
+                     prescale, schur, schur_eigenpair, verified_residuals)
 
 OVERLAP_TOL = 1e-14        # |y^H x| below this reports kappa_lambda = +inf
 
@@ -176,10 +176,7 @@ def condition_report_diagonal(c: Configuration) -> ConditionReport:
     pts = c.points
     if c.n < 2:
         raise ValueError("condition reports need n >= 2")
-    nnd = nearest_neighbor_distances(pts)
-    if c._min_sep is None:
-        # the number min_separation would compute with a second search
-        c._min_sep = float(nnd.min())
+    nnd = c.nearest_neighbor_distances()
     gap = c.min_separation
     if gap == 0.0 or float(nnd.min()) == 0.0:
         raise DuplicatePointsError("diagonal entries must be pairwise distinct")
@@ -215,11 +212,6 @@ class PerturbationResult:
     epsilon: float
     norm_kind: str
     seed: int
-
-
-def _matrix_norm(m: np.ndarray, kind: str) -> float:
-    return float(np.linalg.norm(m)) if kind == "frob" else \
-        float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _match_eigenvalues(lams: np.ndarray, w: np.ndarray, min_gap: float):
@@ -283,7 +275,7 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
         e = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-        e /= _matrix_norm(e, norm_kind)
+        e /= frobenius_norm(e) if norm_kind == "frob" else operator_norm(e)
         w, v = np.linalg.eig(m + scale * e)
         match = _match_eigenvalues(lams, w, min_gap)
         if match is None:

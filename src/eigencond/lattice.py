@@ -6,10 +6,11 @@ disk-membership and ordering decisions are made on that exact integer form,
 which makes enumeration reproducible bit for bit: points are sorted by
 modulus, ties broken by argument in [0, 2*pi).
 
-Counts and sums of q over a disk need no enumeration: with t = 2a + b,
-4q = t^2 + 3b^2, so row b of the disk q <= Q holds the t of b's parity with
-|t| <= isqrt(4Q - 3b^2), and each row's count and sum of t^2 are closed-form
-integers (_shell_sums).
+A radius maps to an integer bound Q in one place (_radius_bound), and one
+integer row table decides the disk q <= Q (_disk_rows): with t = 2a + b,
+4q = t^2 + 3b^2, so row b holds the t of b's parity with t^2 <= 4Q - 3b^2.
+Enumeration expands each row into its consecutive a (_sites_within); counts
+and sums of q need no site, as each row's are closed forms (_shell_sums).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ CELL_AREA = ROW_HEIGHT             # determinant of the generator matrix
 # and must not be lost to rounding.
 _BOUNDARY_SLACK = 8.0 * np.finfo(float).eps
 
-# Largest bound Q that _shell_sums accepts.  Every per-row term stays below
-# 2^61 in int64 there (about 8 Q^1.5), and the disk holds about 3.1e11 sites.
+# Largest bound Q that the row table accepts.  Every _shell_sums row term
+# stays below 2^61 in int64 there (about 8 Q^1.5); the disk holds ~3.1e11 sites.
 _MAX_SHELL_BOUND = 2 ** 38
 
 # Circumradius of a lattice site's hexagonal Voronoi cell (area CELL_AREA).
@@ -178,55 +179,56 @@ class Configuration:
             self._min_sep = pairwise_min_separation(self._points)
         return self._min_sep
 
+    def nearest_neighbor_distances(self) -> np.ndarray:
+        """nearest_neighbor_distances of the points; fills an empty separation cache."""
+        nnd = nearest_neighbor_distances(self._points)
+        if self._min_sep is None:
+            self._min_sep = float(nnd.min())
+        return nnd
+
     def __repr__(self) -> str:
         return f"Configuration(n={self.n})"
 
 
-def _validate_radius(r) -> float:
+def _radius_bound(r, closed: bool) -> int:
+    """Largest Q with q <= Q exactly on the sites |z| <= r (closed, with
+    boundary slack) or |z| < r; q is an integer, so that is floor(limit),
+    or ceil(limit) - 1 for the strict limit.  Rejects Q > _MAX_SHELL_BOUND."""
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
-    return r
+    with np.errstate(over="ignore"):
+        limit = (r * (1.0 + _BOUNDARY_SLACK)) ** 2 if closed else r * r
+    if limit > _MAX_SHELL_BOUND:
+        raise ValueError(f"radius {r!r} is too large: q bound above {_MAX_SHELL_BOUND}")
+    return math.floor(limit) if closed else math.ceil(limit) - 1
 
 
-def _scan_rows(limit: float, strict: bool):
-    """Yield (a_values, b) per lattice row with a^2 + ab + b^2 (<) <= limit."""
-    if limit < 0.0:
-        return
-    bmax = int(math.floor(math.sqrt(limit / 0.75))) + 1 if limit > 0.0 else 0
-    for b in range(-bmax, bmax + 1):
-        rem = limit - 0.75 * b * b
-        if rem < 0.0:
-            continue
-        half = math.sqrt(rem)
-        a = np.arange(int(math.ceil(-0.5 * b - half)) - 1,
-                      int(math.floor(-0.5 * b + half)) + 2, dtype=np.int64)
-        q = a * (a + b) + b * b
-        a = a[(q < limit) if strict else (q <= limit)]
-        if a.size:
-            yield a, b
+def _disk_rows(bound: int) -> np.ndarray:
+    """Row table of the disk q <= bound: entry b >= 0 is the largest |t| of
+    b's parity with t^2 <= 4 bound - 3b^2, so rows b and -b each hold the
+    T + 1 sites t = -T, -T + 2, ..., T.  Empty for a negative bound."""
+    if bound > _MAX_SHELL_BOUND:  # int64 row terms could overflow
+        raise ValueError(f"shell bound {bound} exceeds {_MAX_SHELL_BOUND}")
+    b = np.arange(math.isqrt(4 * bound // 3) + 1 if bound >= 0 else 0, dtype=np.int64)
+    # isqrt(x): x < 2^41 is exact in a float and its correctly rounded root
+    # lies within 2^-31 of sqrt(x), while a non-square's root is at least
+    # 2^-22 below the next integer, so truncation cannot round up
+    t = np.sqrt((4 * bound - 3 * b * b).astype(float)).astype(np.int64)
+    return t - ((t - b) & 1)
 
 
-def enumerate_lattice_in_disk(r, closed: bool = True) -> LatticeSites:
-    """Every lattice point with |z| <= r (closed, with boundary slack) or |z| < r.
-
-    Deterministic order: by the integer squared modulus, ties broken by
-    argument in [0, 2*pi).  No two sites tie: distinct sites of equal
-    modulus r lie on one circle at least 1 apart, so their arguments differ
-    by at least 1/r, far above the rounding of the computed angles.
-    """
-    r = _validate_radius(r)
-    if closed:
-        limit, strict = (r * (1.0 + _BOUNDARY_SLACK)) ** 2, False
-    else:
-        limit, strict = r * r, True
-    rows = list(_scan_rows(limit, strict))
-    if not rows:
-        empty = np.empty(0, dtype=np.int64)
-        return LatticeSites.from_coords(empty, empty)
-    aa = np.concatenate([a for a, _ in rows])
-    bb = np.repeat(np.array([b for _, b in rows], dtype=np.int64), [a.size for a, _ in rows])
-    del rows
+def _sites_within(bound: int) -> LatticeSites:
+    """Every site with q <= bound, in enumeration order (enumerate_lattice_in_disk)."""
+    half = _disk_rows(bound)
+    rows = np.arange(1 - half.size, half.size, dtype=np.int64)
+    t = half[np.abs(rows)]
+    count = t + 1
+    bb = np.repeat(rows, count)
+    # row b holds the consecutive a = (-T - b)/2, ..., (T - b)/2 from site
+    # index cumsum(count) - count on
+    shift = (-t - rows) // 2 - (np.cumsum(count) - count)
+    aa = np.arange(bb.size, dtype=np.int64) + np.repeat(shift, count)
     q = aa * (aa + bb) + bb * bb
     angle = np.mod(np.arctan2(bb * ROW_HEIGHT, aa + 0.5 * bb), 2.0 * math.pi)
     order = np.lexsort((angle, q))
@@ -237,31 +239,28 @@ def enumerate_lattice_in_disk(r, closed: bool = True) -> LatticeSites:
     return LatticeSites.from_coords(aa, bb)
 
 
+def enumerate_lattice_in_disk(r, closed: bool = True) -> LatticeSites:
+    """Every lattice point with |z| <= r (closed, with boundary slack) or |z| < r.
+
+    Deterministic order: by the integer squared modulus, ties broken by
+    argument in [0, 2*pi).  No two sites tie: distinct sites of equal
+    modulus r lie on one circle at least 1 apart, so their arguments differ
+    by at least 1/r, far above the rounding of the computed angles.
+    """
+    return _sites_within(_radius_bound(r, closed))
+
+
 def _shell_sums(bound: int) -> tuple[int, int]:
     """Exact (count, sum of q) over the lattice sites with q <= bound.
 
-    O(sqrt(bound)) time and memory: rows b >= 0 are handled as one vector,
-    each row b > 0 standing also for row -b, and the row totals are added as
-    Python ints.  bound may be negative (no sites); above _MAX_SHELL_BOUND
-    it is rejected, where int64 row terms could overflow.
+    O(sqrt(bound)) time and memory: the totals of each row of _disk_rows are
+    closed forms, row b > 0 counted twice (for itself and for row -b).
     """
-    bound = int(bound)
-    if bound < 0:
-        return 0, 0
-    if bound > _MAX_SHELL_BOUND:
-        raise ValueError(f"shell bound {bound} exceeds {_MAX_SHELL_BOUND}")
-    b = np.arange(math.isqrt(4 * bound // 3) + 1, dtype=np.int64)
-    x = 4 * bound - 3 * b * b
-    # t = isqrt(x): x < 2^41 is exact in a float and its correctly rounded
-    # root lies within 2^-31 of sqrt(x), while a non-square's root is at
-    # least 2^-22 below the next integer, so truncation cannot round up
-    t = np.sqrt(x.astype(float)).astype(np.int64)
-    odd = (b & 1).astype(bool)
-    # even rows hold t = 0, +-2, ..., +-2k; odd rows t = +-1, +-3, ..., +-(2k-1)
-    k = np.where(odd, (t + 1) // 2, t // 2)
-    count = np.where(odd, 2 * k, 2 * k + 1)
-    sum_t2 = np.where(odd, 2 * k * (2 * k - 1) * (2 * k + 1), 4 * k * (k + 1) * (2 * k + 1)) // 3
-    four_q = sum_t2 + 3 * b * b * count
+    t = _disk_rows(int(bound))
+    b = np.arange(t.size, dtype=np.int64)
+    count = t + 1
+    # 4q = t^2 + 3b^2, and t^2 summed over t = -T, -T + 2, ..., T is T(T + 1)(T + 2)/3
+    four_q = t * (t + 1) * (t + 2) // 3 + 3 * b * b * count
     count[1:] *= 2
     four_q[1:] *= 2
     return int(count.sum()), sum(four_q.tolist()) // 4
@@ -299,12 +298,7 @@ def lattice_prefix_sums(n: int) -> tuple[int, int]:
 
 def lattice_count(r) -> int:
     """Number of lattice points in the closed disk of radius r."""
-    r = _validate_radius(r)
-    # q is an integer, so q <= limit exactly when q <= floor(limit)
-    limit = (r * (1.0 + _BOUNDARY_SLACK)) ** 2
-    if limit > _MAX_SHELL_BOUND:
-        raise ValueError(f"radius {r!r} is too large to count exactly")
-    return _shell_sums(math.floor(limit))[0]
+    return _shell_sums(_radius_bound(r, closed=True))[0]
 
 
 def first_n_sites(n: int) -> LatticeSites:
@@ -312,9 +306,7 @@ def first_n_sites(n: int) -> LatticeSites:
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    # the closed disk of radius sqrt(Q) is exactly q <= Q: its boundary slack
-    # stays far below 1 in q
-    return enumerate_lattice_in_disk(math.sqrt(_prefix_bound(n)), closed=True).prefix(n)
+    return _sites_within(_prefix_bound(n)).prefix(n)
 
 
 def first_n_lattice_points(n: int) -> Configuration:

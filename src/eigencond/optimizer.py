@@ -265,7 +265,7 @@ def _polish(z0: np.ndarray, p_true: float):
 
     def current_state():
         gap = float(d.min())
-        val = math.inf if gap == 0.0 else modulus_p_norm(moduli, p_true) / gap
+        val = _hard_value(d, moduli, p_true)
         excl = {}
         a, b = divmod(int(np.argmin(d)), n)
         for k in (a, b):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,24 @@ class TestLatticeCommand:
         code, out, _ = run_cli(capsys, "lattice", "--n", "3", "--output", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("index,a,b,re,im,modulus")
+
+    def test_output_is_written_in_chunks_of_bounded_memory(self, capsys, tmp_path):
+        # the CSV of one string per site, joined whole, peaked at 257 B/site
+        n = 100_000
+        target = tmp_path / "pts.csv"
+        run_cli(capsys, "lattice", "--n", "7")  # first-use allocations
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "lattice", "--n", str(n), "--output", str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak <= 80 * n
+        sites = first_n_sites(n)
+        expected = "".join(f"{i},{a},{b},{w.real!r},{w.imag!r},{abs(w)!r}\n"
+                           for i, (a, b, w) in enumerate(zip(sites.a.tolist(), sites.b.tolist(),
+                                                             sites.z.tolist())))
+        assert target.read_text() == "index,a,b,re,im,modulus\n" + expected
 
     def test_output_reads_back_as_configuration(self, capsys, tmp_path):
         target = tmp_path / "pts.csv"

@@ -80,13 +80,24 @@ def test_ordering_modulus_then_angle_then_coords():
         (0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
 
 
+# r = 7 and sqrt(3) put r^2 on a shell; 1 +- 1 ulp straddle the unit ring
+BOUNDARY_RADII = [7.0, math.sqrt(3.0), math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+
+
 @pytest.mark.parametrize("r, closed", [(0.0, True), (1.0, True), (37.25, False),
-                                       (160.5, True)])
+                                       (160.5, True),
+                                       *((r, closed) for r in BOUNDARY_RADII
+                                         for closed in (True, False))])
 def test_disk_order_matches_four_key_oracle(r, closed):
     # (a, b) never decide the order: no two sites tie on (modulus, argument)
     sites = enumerate_lattice_in_disk(r, closed=closed)
     a, b = four_key_lattice_sites(r, closed)
     assert np.array_equal(sites.a, a) and np.array_equal(sites.b, b)
+
+
+@given(st.floats(min_value=0.0, max_value=60.0), st.booleans())
+def test_any_disk_matches_four_key_oracle(r, closed):
+    test_disk_order_matches_four_key_oracle(r, closed)
 
 
 def test_prefixes_match_four_key_oracle():
@@ -99,26 +110,27 @@ def test_prefixes_match_four_key_oracle():
 def test_first_n_sites_scans_the_disk_once(monkeypatch):
     expected = coords(first_n_sites(5000))
     calls = []
-    enumerate_disk = eigencond.lattice.enumerate_lattice_in_disk
+    sites_within = eigencond.lattice._sites_within
 
-    def counted(r, closed=True):
-        calls.append(r)
-        return enumerate_disk(r, closed=closed)
+    def counted(bound):
+        calls.append(bound)
+        return sites_within(bound)
 
     def forbidden(r):
         raise AssertionError("first_n_sites counted the disk before enumerating it")
 
     monkeypatch.setattr(eigencond.lattice, "lattice_count", forbidden)
-    monkeypatch.setattr(eigencond.lattice, "enumerate_lattice_in_disk", counted)
+    monkeypatch.setattr(eigencond.lattice, "_sites_within", counted)
     assert coords(first_n_sites(5000)) == expected
     assert len(calls) == 1
 
 
 def sorted_q(bound):
-    """Oracle: the sorted integer forms q of the enumerated disk q <= bound,
-    with their exact running sums (q_sum[k] = sum of the k smallest)."""
-    sites = enumerate_lattice_in_disk(math.sqrt(bound))
-    q = np.sort(sites.a * (sites.a + sites.b) + sites.b * sites.b)
+    """Oracle: the sorted integer forms q of the disk q <= bound, from the
+    bounding-box scan, with their exact running sums (q_sum[k] = sum of the
+    k smallest)."""
+    a, b = four_key_lattice_sites(math.sqrt(bound))
+    q = a * (a + b) + b * b
     assert q[-1] <= bound
     return q, [0] + np.cumsum(q).tolist()
 
@@ -195,7 +207,8 @@ def test_sorted_prefixes_are_consistent():
     assert large[:40] == small
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, 1e200])
 def test_rejects_bad_radius(bad):
     with pytest.raises(ValueError):
         enumerate_lattice_in_disk(bad)
@@ -304,6 +317,17 @@ def test_min_separation_matches_bruteforce(n, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert Configuration(z).min_separation == brute_min_separation(z)
+
+
+def test_configuration_neighbour_distances_fill_an_empty_cache(monkeypatch):
+    z = np.array([0.0, 1.0, 3.0, 3.5j])
+    fresh = Configuration(z)
+    assert np.array_equal(fresh.nearest_neighbor_distances(), brute_nearest_neighbor_distances(z))
+    monkeypatch.setattr(eigencond.lattice, "pairwise_min_separation", None)  # no second search
+    assert fresh.min_separation == brute_min_separation(z)
+    given_gap = Configuration(z, min_separation=0.25)
+    given_gap.nearest_neighbor_distances()
+    assert given_gap.min_separation == 0.25
 
 
 def test_sites_arrays_and_embedding():
