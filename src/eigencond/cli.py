@@ -46,8 +46,8 @@ _CSV_CHUNK_ROWS = 16_384  # lattice CSV rows formatted at once (about 1 MB of te
 # O(sqrt(n)) time and memory, 30-40 ms at this cap.
 MAX_REPRODUCE_N = 10 ** 9
 
-# Largest optimize --n.  Each soft-objective evaluation holds several n x n
-# arrays at once: its measured peak is 72 n^2 bytes (288 MB at n = 2000).
+# Largest optimize --n.  The descent holds several n x n arrays at once: its
+# tracemalloc peak is 65 n^2 bytes (260 MB at n = 2000).
 MAX_OPTIMIZE_POINTS = 2_000
 
 

@@ -215,20 +215,21 @@ class PerturbationResult:
 
 
 def _match_eigenvalues(lams: np.ndarray, w: np.ndarray, min_gap: float):
-    """Greedy nearest-neighbor matching; None when ambiguous or colliding."""
-    used = set()
-    match = []
-    for lam in lams:
-        d = np.abs(w - lam)
-        order = np.argsort(d)
-        j = int(order[0])
-        if d.size > 1 and d[order[1]] - d[j] <= _MATCH_MARGIN * min_gap:
+    """Greedy nearest-neighbor matching; None when ambiguous or colliding.
+
+    Each original eigenvalue takes its nearest perturbed one.  The matching
+    is ambiguous when the two nearest lie within _MATCH_MARGIN * min_gap of
+    each other, and colliding when two originals take the same one.
+    """
+    d = np.abs(w[None, :] - lams[:, None])
+    if w.size > 1:
+        nearest = np.partition(d, 1, axis=1)
+        if np.any(nearest[:, 1] - nearest[:, 0] <= _MATCH_MARGIN * min_gap):
             return None
-        if j in used:
-            return None
-        used.add(j)
-        match.append(j)
-    return match
+    match = d.argmin(axis=1)
+    if np.unique(match).size < match.size:
+        return None
+    return match.tolist()
 
 
 @one_blas_thread()

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: usage problems exit 1, numerical
-ill-posedness (clustered spectra, duplicate points, failed factorizations)
-exits 2.
+ill-posedness (clustered spectra, duplicate points, failed factorizations,
+results beyond the float range) exits 2.
 
 Coincident points follow that rule in every subcommand that reads a
 configuration file, and none of them prints a result row:

@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import NumericalError
 from .lattice import Configuration, first_n_lattice_points, lattice_prefix_sums
 
 
@@ -25,16 +26,30 @@ def _validate_p(p) -> float:
     return p
 
 
+def _power_terms(moduli: np.ndarray, p: float):
+    """top = max m_i and the terms (m_i/top)^p; terms is None when the norm is top."""
+    top = float(moduli.max())
+    if math.isinf(p) or top == 0.0:
+        return top, None
+    return top, (moduli / top) ** p
+
+
+def _norm_from_sum(top: float, power_sum, p: float) -> float:
+    """top * power_sum^(1/p), the last step of every modulus p-norm."""
+    try:
+        return top * float(power_sum) ** (1.0 / p)
+    except OverflowError:
+        raise NumericalError(f"the {p!r}-norm of the moduli overflows") from None
+
+
 def modulus_p_norm(moduli, p: float) -> float:
     """(sum m_i^p)^(1/p), computed as max * (sum (m_i/max)^p)^(1/p).
 
-    The rescaling keeps large p (>= 100) from overflowing.
+    The rescaling keeps large p (>= 100) from overflowing; a result beyond
+    the float range (tiny p) raises NumericalError.
     """
-    m = np.asarray(moduli, dtype=float)
-    top = float(m.max())
-    if math.isinf(p) or top == 0.0:
-        return top
-    return top * float(np.sum((m / top) ** p)) ** (1.0 / p)
+    top, terms = _power_terms(np.asarray(moduli, dtype=float), p)
+    return top if terms is None else _norm_from_sum(top, np.sum(terms), p)
 
 
 def separation_functional(c: Configuration, p) -> float:
@@ -78,7 +93,10 @@ def proposition_constant(p) -> float:
 
 
 def _growth_scale(n: int, p: float) -> float:
-    return float(n) ** (0.5 + (0.0 if math.isinf(p) else 1.0 / p))
+    try:
+        return float(n) ** (0.5 + (0.0 if math.isinf(p) else 1.0 / p))
+    except OverflowError:
+        raise NumericalError(f"n^(1/2 + 1/p) overflows at n = {n}, p = {p!r}") from None
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .extremal import modulus_p_norm, separation_functional
+from .extremal import (_norm_from_sum, _power_terms, modulus_p_norm,
+                       separation_functional)
 from .lattice import Configuration, first_n_lattice_points
 
 BASE_BETAS = (10.0, 30.0, 100.0, 300.0)  # scaled by n when no schedule is given
@@ -30,10 +31,18 @@ BASE_STEPS = (0.1, 0.05, 0.02, 0.01)
 _SURROGATE_P_FOR_INF = 64.0
 _POLISH_ROUNDS = 80
 _POLISH_STEP = 0.05
+# candidate moves scored in one array pass: on the polish inputs of
+# n = 12-60 runs, 32-64 were fastest, and 16 or a whole round were slower
+_POLISH_WINDOW = 48
+# a vectorized polish score this close to acceptance is decided again by the
+# scalar p-norm, whose last bit numpy's array ** does not always reproduce
+_POLISH_FLAG_TOL = 1e-12
 _BACKTRACK_LIMIT = 30
 # exp of an argument at or below this is exactly 0, and numpy's exp is slow
-# on such arguments, so the soft objective does not evaluate it there
+# on such arguments, so from _EXP_FLOOR_MIN_N points on the soft objective
+# does not evaluate it there; below that the mask costs more than it saves
 _EXP_FLOOR = -746.0
+_EXP_FLOOR_MIN_N = 25
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,7 @@ class OptimizerResult:
 def _pair_distances(z: np.ndarray):
     dz = z[:, None] - z[None, :]
     d = np.abs(dz)
-    np.fill_diagonal(d, np.inf)
+    d.flat[::z.size + 1] = np.inf
     return dz, d
 
 
@@ -128,7 +137,7 @@ def _rescale_gauge(z: np.ndarray) -> np.ndarray:
 
 def _soft_eval(z: np.ndarray, p: float, beta: float, with_grad: bool,
                pairs, moduli):
-    """Soft objective, the soft gap, and optionally the gradient.
+    """Soft objective, the soft gap, and the gradient or, without it, the hard gap.
 
     pairs is _pair_distances(z) and moduli is np.abs(z); the caller builds
     them, so one build can serve several evaluations.
@@ -138,28 +147,41 @@ def _soft_eval(z: np.ndarray, p: float, beta: float, with_grad: bool,
     if dmin == 0.0:
         raise NumericalError("coincident points: the soft gap is not defined")
     # max-exponent subtraction: entries of d - dmin are >= 0 (diag stays inf)
-    x = -beta * (d - dmin)
-    e = np.zeros_like(d)
-    np.exp(x, out=e, where=x > _EXP_FLOOR)
+    x = d - dmin
+    x *= -beta
+    if z.size < _EXP_FLOOR_MIN_N:
+        e = np.exp(x, out=x)
+    else:
+        e = np.zeros_like(d)
+        np.exp(x, out=e, where=x > _EXP_FLOOR)
     del x  # freed before the gradient's n x n temporaries
     s = float(e.sum()) / 2.0
     softmin = dmin - math.log(s) / beta
-    num = modulus_p_norm(moduli, p)
+    top = float(moduli.max())
+    if math.isinf(p):
+        num = top
+    else:
+        u = moduli / top
+        power_sum = np.sum(u ** p)
+        num = _norm_from_sum(top, power_sum, p)
     f = num / softmin
     if not with_grad:
-        return f, softmin, None
+        return f, softmin, dmin
     if math.isinf(p):
         raise ValueError("the gradient needs finite p (use a large-p surrogate)")
-    top = float(moduli.max())
-    u = moduli / top
-    power_sum = float(np.sum(u ** p))
-    grad_num = np.zeros(z.size, dtype=np.complex128)
-    nz = moduli > 0.0
-    grad_num[nz] = (num / (top * power_sum)) * u[nz] ** (p - 1.0) * (z[nz] / moduli[nz])
+    scale = num / (top * float(power_sum))
+    if moduli.all():
+        grad_num = scale * u ** (p - 1.0) * (z / moduli)
+    else:
+        grad_num = np.zeros(z.size, dtype=np.complex128)
+        nz = moduli > 0.0
+        grad_num[nz] = scale * u[nz] ** (p - 1.0) * (z[nz] / moduli[nz])
     # pair weight for {i, j} is e_ij / s with s the sum over unordered pairs;
     # each row of the full matrix visits every pair containing i exactly once
-    unit = dz / d  # diagonal: 0 / inf = 0
-    grad_soft = ((e / s) * unit).sum(axis=1)
+    unit = dz * (1.0 / d)  # diagonal: 0 * (1 / inf) = 0
+    e /= s
+    unit *= e
+    grad_soft = unit.sum(axis=1)
     grad = (grad_num - f * grad_soft) / softmin
     return f, softmin, grad
 
@@ -227,18 +249,19 @@ def _descend(z0: np.ndarray, p_smooth: float, p_true: float,
                 cand = z - s * g
                 cand_pairs = _pair_distances(cand)
                 try:
-                    fc, soft_c, _ = _soft_eval(cand, p_smooth, beta, False,
-                                               cand_pairs, np.abs(cand))
+                    fc, soft_c, gap_c = _soft_eval(cand, p_smooth, beta, False,
+                                                   cand_pairs, np.abs(cand))
                 except NumericalError:
                     fc, soft_c = math.inf, -1.0
                 if soft_c > 0.0 and fc < f:
-                    z = cand / float(cand_pairs[1].min())  # _rescale_gauge(cand)
+                    z = cand / gap_c  # _rescale_gauge(cand)
                     # free both old pair sets before building the new one
                     pairs = cand_pairs = None
                     pairs, moduli = _pair_distances(z), np.abs(z)
                     step = min(s * 1.5, 4.0 * step0)
                     accepted = True
                     break
+                cand_pairs = None  # freed before the next candidate's build
                 s *= 0.5
             val = _hard_value(pairs[1], moduli, p_true)
             trace.append((it, val))
@@ -253,49 +276,96 @@ def _descend(z0: np.ndarray, p_smooth: float, p_true: float,
 def _polish(z0: np.ndarray, p_true: float):
     """Coordinate-wise line search on the exact objective, shrinking steps.
 
-    Moving one point only changes one row of the distance matrix, so
-    candidate moves are scored incrementally in O(n): the minimum gap over
-    pairs not involving the moved point is cached per state (it differs from
-    the global minimum only for the two endpoints of the minimizing pair).
+    Moves are tried in a fixed order (point by point, four directions each)
+    and each improving move is taken at once.  Moving one point only changes
+    one row of the distance matrix, so a move is scored in O(n): the minimum
+    gap over pairs not involving the moved point is cached per state (it
+    differs from the global minimum only for the two endpoints of the
+    minimizing pair), and so are the p-norm's terms (m_j/top)^p, of which a
+    move that keeps top replaces one.  The next _POLISH_WINDOW moves are
+    scored in one array pass against the current state; since a rejected move
+    changes nothing, taking the first accepted one and scoring on from the
+    move after it visits the same states as trying the moves one by one.
+    Every acceptance is decided by the same scalar expression as a lone move.
     """
     z = _rescale_gauge(z0.copy())
     n = z.size
     _, d = _pair_distances(z)
     moduli = np.abs(z)
 
-    def current_state():
-        gap = float(d.min())
-        val = _hard_value(d, moduli, p_true)
-        excl = {}
-        a, b = divmod(int(np.argmin(d)), n)
-        for k in (a, b):
-            masked = d.copy()
-            masked[k, :] = np.inf
-            masked[:, k] = np.inf
-            excl[k] = float(masked.min())
-        return gap, excl, val
+    def excluded_gaps():
+        """excl[k]: minimum gap over the pairs without point k."""
+        flat = int(np.argmin(d))
+        a, b = divmod(flat, n)
+        scratch = d.copy()
+        scratch[[a, b], :] = np.inf
+        scratch[:, [a, b]] = np.inf
+        rest = float(scratch.min())  # pairs with neither endpoint
+        excl = np.full(n, d.flat[flat])
+        # d[b, a] is the smallest entry of row b, so the row's second
+        # smallest is its minimum without a
+        excl[a] = min(rest, float(np.partition(d[b], 1)[1]))
+        excl[b] = min(rest, float(np.partition(d[a], 1)[1]))
+        return excl
 
-    gap, excl, val = current_state()
+    excl = excluded_gaps()
+    val = _hard_value(d, moduli, p_true)
+    top, terms = _power_terms(moduli, p_true)
+    point = np.repeat(np.arange(n), 4)  # move m shifts point m // 4
+    slot = np.arange(_POLISH_WINDOW)
     step = _POLISH_STEP
     for _ in range(_POLISH_ROUNDS):
         improved = False
-        for i in range(n):
-            for delta in (step, -step, 1j * step, -1j * step):
-                zi = z[i] + delta
-                row = np.abs(z - zi)
-                row[i] = np.inf
-                gap_new = min(excl.get(i, gap), float(row.min()))
-                if gap_new <= 0.0:
-                    continue
-                m_new = moduli.copy()
-                m_new[i] = abs(zi)
-                if modulus_p_norm(m_new, p_true) / gap_new < val:
-                    z[i] = zi
-                    d[i, :] = row
-                    d[:, i] = row
-                    moduli[i] = abs(zi)
-                    gap, excl, val = current_state()
+        shifts = np.tile(np.array([step, -step, 1j * step, -1j * step]), n)
+        start = 0
+        while start < 4 * n:
+            idx = point[start:start + _POLISH_WINDOW]
+            k = slot[:idx.size]
+            zs = z[idx] + shifts[start:start + _POLISH_WINDOW]
+            rows = np.abs(z[None, :] - zs[:, None])
+            rows[k, idx] = np.inf
+            gaps = np.minimum(excl[idx], rows.min(axis=1))
+            m_new = np.hypot(zs.real, zs.imag)  # bitwise abs(zs[j])
+            # a move that keeps top changes one of the state's terms
+            keeps = (moduli[idx] < top) & (m_new <= top)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                if terms is None:
+                    approx = top / gaps
+                else:
+                    sums = np.repeat(terms[None, :], idx.size, axis=0)
+                    sums[k, idx] = (np.minimum(m_new, top) / top) ** p_true
+                    approx = top * sums.sum(axis=1) ** (1.0 / p_true) / gaps
+            # decided exactly below: moves near acceptance (NaN included)
+            # and moves whose p-norm is not the state's terms with one replaced
+            near = ~(approx >= val * (1.0 + _POLISH_FLAG_TOL))
+            flagged = ((gaps > 0.0) & (near | ~keeps)).nonzero()[0]
+            next_start = start + idx.size
+            for j in flagged:
+                i = idx[j]
+                if not keeps[j]:
+                    m_vec = moduli.copy()
+                    m_vec[i] = m_new[j]
+                    norm = modulus_p_norm(m_vec, p_true)
+                elif terms is None:
+                    norm = top
+                else:
+                    norm = _norm_from_sum(top, sums[j].sum(), p_true)
+                gap_new = float(gaps[j])
+                if norm / gap_new < val:
+                    z[i] = zs[j]
+                    d[i, :] = rows[j]
+                    d[:, i] = rows[j]
+                    moduli[i] = m_new[j]
+                    val = norm / gap_new  # the new state's p-norm and gap
+                    if not keeps[j]:
+                        top, terms = _power_terms(moduli, p_true)
+                    elif terms is not None:
+                        terms = sums[j].copy()
+                    excl = excluded_gaps()
                     improved = True
+                    next_start = start + j + 1
+                    break
+            start = next_start
         if not improved:
             step *= 0.5
             if step < 1e-8:

@@ -143,3 +143,186 @@ def svd_condition_report(a, residual_tol=1e-8, block_tol=1e-8):
     kx = np.array(kx)
     no = float(np.linalg.svd(m, compute_uv=False)[0])
     return lams, np.array(kl), kx, kx.max() * anorm, kx.max() * no
+
+
+# Oracles of the optimizer's fast paths: the descent and polish as they were
+# before windowed polish scoring and the single-pass soft objective, scoring
+# every polish move with a full modulus_p_norm.  reference_polish may log
+# each accepted move as (point, was_at_top, raised_top, top_was_tied).
+
+def reference_pair_distances(z):
+    dz = z[:, None] - z[None, :]
+    d = np.abs(dz)
+    np.fill_diagonal(d, np.inf)
+    return dz, d
+
+
+def reference_hard_value(d, moduli, p):
+    from eigencond.extremal import modulus_p_norm
+
+    gap = float(d.min())
+    if gap == 0.0:
+        return math.inf
+    return modulus_p_norm(moduli, p) / gap
+
+
+def reference_rescale_gauge(z):
+    _, d = reference_pair_distances(z)
+    gap = float(d.min())
+    return z if gap == 0.0 else z / gap
+
+
+def reference_soft_eval(z, p, beta, with_grad, pairs, moduli):
+    from eigencond.errors import NumericalError
+    from eigencond.extremal import modulus_p_norm
+
+    dz, d = pairs
+    dmin = float(d.min())
+    if dmin == 0.0:
+        raise NumericalError("coincident points: the soft gap is not defined")
+    x = -beta * (d - dmin)
+    e = np.zeros_like(d)
+    np.exp(x, out=e, where=x > -746.0)
+    del x
+    s = float(e.sum()) / 2.0
+    softmin = dmin - math.log(s) / beta
+    num = modulus_p_norm(moduli, p)
+    f = num / softmin
+    if not with_grad:
+        return f, softmin, None
+    if math.isinf(p):
+        raise ValueError("the gradient needs finite p (use a large-p surrogate)")
+    top = float(moduli.max())
+    u = moduli / top
+    power_sum = float(np.sum(u ** p))
+    grad_num = np.zeros(z.size, dtype=np.complex128)
+    nz = moduli > 0.0
+    grad_num[nz] = (num / (top * power_sum)) * u[nz] ** (p - 1.0) * (z[nz] / moduli[nz])
+    unit = dz / d
+    grad_soft = ((e / s) * unit).sum(axis=1)
+    grad = (grad_num - f * grad_soft) / softmin
+    return f, softmin, grad
+
+
+def reference_descend(z0, p_smooth, p_true, betas, steps, max_iters):
+    from eigencond.errors import NumericalError
+
+    z = reference_rescale_gauge(z0)
+    pairs, moduli = reference_pair_distances(z), np.abs(z)
+    best_z = z.copy()
+    best_val = reference_hard_value(pairs[1], moduli, p_true)
+    trace = [(0, best_val)]
+    it = 0
+    for beta, step0 in zip(betas, steps):
+        step = step0
+        for _ in range(max_iters):
+            it += 1
+            f, _, g = reference_soft_eval(z, p_smooth, beta, True, pairs, moduli)
+            gmax = float(np.abs(g).max())
+            if not math.isfinite(gmax) or gmax == 0.0:
+                break
+            accepted = False
+            s = step
+            for _ in range(30):
+                cand = z - s * g
+                cand_pairs = reference_pair_distances(cand)
+                try:
+                    fc, soft_c, _ = reference_soft_eval(cand, p_smooth, beta, False,
+                                                        cand_pairs, np.abs(cand))
+                except NumericalError:
+                    fc, soft_c = math.inf, -1.0
+                if soft_c > 0.0 and fc < f:
+                    z = cand / float(cand_pairs[1].min())
+                    pairs = cand_pairs = None
+                    pairs, moduli = reference_pair_distances(z), np.abs(z)
+                    step = min(s * 1.5, 4.0 * step0)
+                    accepted = True
+                    break
+                s *= 0.5
+            val = reference_hard_value(pairs[1], moduli, p_true)
+            trace.append((it, val))
+            if val < best_val:
+                best_val = val
+                best_z = z.copy()
+            if not accepted:
+                break
+    return best_z, best_val, trace
+
+
+def reference_polish(z0, p_true, log=None):
+    from eigencond.extremal import modulus_p_norm
+
+    z = reference_rescale_gauge(z0.copy())
+    n = z.size
+    _, d = reference_pair_distances(z)
+    moduli = np.abs(z)
+
+    def current_state():
+        gap = float(d.min())
+        val = reference_hard_value(d, moduli, p_true)
+        excl = {}
+        a, b = divmod(int(np.argmin(d)), n)
+        for k in (a, b):
+            masked = d.copy()
+            masked[k, :] = np.inf
+            masked[:, k] = np.inf
+            excl[k] = float(masked.min())
+        return gap, excl, val
+
+    gap, excl, val = current_state()
+    step = 0.05
+    for _ in range(80):
+        improved = False
+        for i in range(n):
+            for delta in (step, -step, 1j * step, -1j * step):
+                zi = z[i] + delta
+                row = np.abs(z - zi)
+                row[i] = np.inf
+                gap_new = min(excl.get(i, gap), float(row.min()))
+                if gap_new <= 0.0:
+                    continue
+                m_new = moduli.copy()
+                m_new[i] = abs(zi)
+                if modulus_p_norm(m_new, p_true) / gap_new < val:
+                    if log is not None:
+                        top = float(moduli.max())
+                        log.append((i, moduli[i] == top, abs(zi) > top,
+                                    np.count_nonzero(moduli == top) > 1))
+                    z[i] = zi
+                    d[i, :] = row
+                    d[:, i] = row
+                    moduli[i] = abs(zi)
+                    gap, excl, val = current_state()
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < 1e-8:
+                break
+    return z, val
+
+
+def reference_optimize(cfg):
+    """optimize(cfg) run through the reference descent and polish."""
+    import eigencond.optimizer as opt
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(opt, "_descend", reference_descend)
+        m.setattr(opt, "_polish", reference_polish)
+        return opt.optimize(cfg)
+
+
+def reference_match_eigenvalues(lams, w, min_gap, margin=1e-9):
+    """Oracle of conditioning._match_eigenvalues: one argsort per eigenvalue."""
+    used = set()
+    match = []
+    for lam in lams:
+        d = np.abs(w - lam)
+        order = np.argsort(d)
+        j = int(order[0])
+        if d.size > 1 and d[order[1]] - d[j] <= margin * min_gap:
+            return None
+        if j in used:
+            return None
+        used.add(j)
+        match.append(j)
+    return match

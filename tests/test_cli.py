@@ -283,6 +283,18 @@ class TestAsymptoticsCommand:
         assert run_cli(capsys, "asymptotics", "--p", "2", "--n-list", "10",
                        "--generator", "file")[0] == 1
 
+    def test_overflowing_p_exits_2(self, capsys, tmp_path):
+        # p = 0.001 overflows the lattice p-norm; on the pair {0, 1}, whose
+        # p-norm is 1, p = 0.0005 overflows the scale 2^(1/2 + 1/p)
+        pair = tmp_path / "pair.csv"
+        pair.write_text("re,im\n0,0\n1,0\n")
+        for args in (("--p", "0.001", "--n-list", "100,200"),
+                     ("--p", "0.0005", "--n-list", "2", "--generator", "file",
+                      "--file", str(pair))):
+            code, out, err = run_cli(capsys, "asymptotics", *args)
+            assert code == 2 and out == ""
+            assert err.startswith("numerical error:") and err.count("\n") == 1
+
     def test_bad_n_list_and_p(self, capsys):
         assert run_cli(capsys, "asymptotics", "--p", "2", "--n-list", "x")[0] == 1
         assert run_cli(capsys, "asymptotics", "--p", "2", "--n-list", "100,100")[0] == 1
@@ -290,6 +302,11 @@ class TestAsymptoticsCommand:
 
 
 class TestOptimizeCommand:
+    def test_overflowing_p_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--n", "5", "--p", "0.001")
+        assert code == 2 and out == ""
+        assert err.startswith("numerical error:") and err.count("\n") == 1
+
     def test_csv_and_trace(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
         code, out, _ = run_cli(capsys, "optimize", "--n", "2", "--p", "2",

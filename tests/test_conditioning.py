@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import eigencond.conditioning
-from conftest import random_distinct_points, random_unitary, svd_condition_report
+from conftest import (random_distinct_points, random_unitary,
+                      reference_match_eigenvalues, svd_condition_report)
 from eigencond.conditioning import (condition_report, condition_report_diagonal,
                                     kappa_lambda, kappa_x,
                                     perturbation_experiment)
@@ -429,3 +430,31 @@ class TestPerturbationExperiment:
             perturbation_experiment(a, 1e-6, trials=0)
         with pytest.raises(ValueError):
             perturbation_experiment(a, 1e-6, norm_kind="nuclear")
+
+
+class TestEigenvalueMatching:
+    """_match_eigenvalues makes the argsort oracle's decisions."""
+
+    @given(st.integers(min_value=0, max_value=2 ** 20), st.integers(min_value=1, max_value=40),
+           st.booleans(), st.booleans(), st.floats(min_value=-6.0, max_value=0.5))
+    def test_matches_the_argsort_oracle(self, seed, n, snap, snap_w, log_noise):
+        rng = np.random.default_rng(seed)
+        lams = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if snap:
+            lams = np.round(lams * 2.0) / 2.0  # repeated values: collisions
+        w = lams + 10.0 ** log_noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        if snap_w:
+            w = np.round(w * 2.0) / 2.0  # grid points: equal distances, ambiguity
+        min_gap = float(np.abs(lams[:, None] - lams[None, :])[~np.eye(n, dtype=bool)].min()) \
+            if n > 1 else 1.0
+        margin = eigencond.conditioning._MATCH_MARGIN
+        assert (eigencond.conditioning._match_eigenvalues(lams, w, min_gap)
+                == reference_match_eigenvalues(lams, w, min_gap, margin))
+
+    def test_ambiguous_and_colliding_matches(self):
+        match = eigencond.conditioning._match_eigenvalues
+        assert match(np.array([0j]), np.array([0.1 + 0j]), 1.0) == [0]
+        assert match(np.array([0j, 1 + 0j]), np.array([1.01 + 0j, 0.02j]), 1.0) == [1, 0]
+        assert match(np.array([0j]), np.array([1 + 0j, -1 + 0j]), 1.0) is None  # tie
+        assert match(np.array([0j]), np.array([1 + 0j, 5 + 0j, -1 + 0j]), 1.0) is None
+        assert match(np.array([0j, 1 + 0j]), np.array([0.5 + 0j, 3 + 0j]), 1.0) is None

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import random_distinct_points
 from eigencond.conditioning import condition_report_diagonal
+from eigencond.errors import NumericalError
 from eigencond.extremal import (convergence_study, lower_bound_certificate,
-                                proposition_constant, separation_functional)
+                                modulus_p_norm, proposition_constant,
+                                separation_functional)
 from eigencond.lattice import Configuration, first_n_lattice_points
 
 INF = math.inf
@@ -171,3 +173,33 @@ class TestLowerBoundCertificate:
     def test_lattice_10k(self):
         cert = lower_bound_certificate(first_n_lattice_points(10_000), 2.0)
         assert 0.97 <= cert.margin <= 1.05
+
+
+class TestFloatRange:
+    """A result beyond the float range raises NumericalError, not OverflowError."""
+
+    def test_p_norm_overflow(self):
+        with pytest.raises(NumericalError):
+            modulus_p_norm([1.0, 0.5, 0.25], 0.001)  # 3^1000
+        with pytest.raises(NumericalError):
+            separation_functional(first_n_lattice_points(5), 0.001)
+        with pytest.raises(NumericalError):
+            convergence_study(0.001, [100, 200])
+
+    def test_growth_scale_overflow(self):
+        # the p-norm of the moduli {0, 1} is 1 at every p, so only the scale
+        # n^(1/2 + 1/p) leaves the float range
+        pair = Configuration([0.0, 1.0])
+        assert separation_functional(pair, 0.0005) == 1.0
+        with pytest.raises(NumericalError):
+            lower_bound_certificate(pair, 0.0005)
+        with pytest.raises(NumericalError):
+            convergence_study(0.0005, [2], generator=lambda n: pair)
+
+    @given(st.integers(min_value=0, max_value=10 ** 6),
+           st.sampled_from([0.01, 0.5, 1.0, 2.0, 3.0, 64.0, 1000.0]))
+    def test_values_in_range_keep_their_bits(self, seed, p):
+        m = np.abs(np.random.default_rng(seed).standard_normal(17))
+        top = float(m.max())
+        expected = top * float(np.sum((m / top) ** p)) ** (1.0 / p)
+        assert repr(modulus_p_norm(m, p)) == repr(expected)

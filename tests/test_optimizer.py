@@ -1,13 +1,17 @@
 """Soft-min objective, analytic gradient, and the descent optimizer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_distinct_points
+import eigencond.optimizer as opt
+from conftest import (random_distinct_points, reference_optimize,
+                      reference_pair_distances, reference_polish,
+                      reference_soft_eval)
 from eigencond.errors import NumericalError
 from eigencond.extremal import (modulus_p_norm, proposition_constant,
                                 separation_functional)
@@ -196,3 +200,154 @@ class TestOptimize:
             OptimizerConfig(n=3, init="sobol")
         with pytest.raises(ValueError):
             OptimizerConfig(n=3, seed=-1)
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays of the same dtype, compared byte for byte (signed zeros too)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_result(fast, oracle) -> bool:
+    return (same_bits(fast.best.points, oracle.best.points)
+            and repr((fast.objective, fast.init_objective, fast.trace))
+            == repr((oracle.objective, oracle.init_objective, oracle.trace)))
+
+
+# a square of tied moduli around a cramped interior: polish moves the
+# interior while two or more points share the top modulus
+TIED_TOP = np.array([2, -2, 2j, -2j, 0.1, 0.25 + 0.1j, -0.1 + 0.2j])
+P_VALUES = (0.5, 2.0, 3.0, 64.0, INF)
+
+
+def polish_starts():
+    """(label, z0, p) polish inputs: a tied top, and random and jittered
+    lattice starts at several sizes."""
+    cases = [("tied", TIED_TOP, p) for p in P_VALUES]
+    for n, init in ((5, "random"), (12, "random"), (12, "lattice"), (30, "lattice")):
+        cfg = OptimizerConfig(n=n, init=init, seed=n)
+        z0 = opt._initial_points(cfg, 0 if init == "random" else 1)
+        cases += [(f"{init}{n}", z0, p) for p in (0.5, 2.0, 64.0, INF)]
+    return cases
+
+
+class TestFastPathsMatchOracles:
+    """The optimizer's fast paths give the bits of the reference descent and
+    polish in conftest."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 30, 60])
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("init", ["random", "lattice"])
+    def test_optimize_grid(self, n, p, init):
+        cfg = OptimizerConfig(n=n, p=p, init=init, seed=n, max_iters=30)
+        assert same_result(optimize(cfg), reference_optimize(cfg))
+
+    @settings(max_examples=20)
+    @given(n=st.sampled_from([2, 3, 5, 12, 30, 60]), p=st.sampled_from(P_VALUES),
+           init=st.sampled_from(["random", "lattice"]),
+           seed=st.integers(0, 2 ** 20), max_iters=st.integers(1, 25))
+    def test_optimize_any_seed(self, n, p, init, seed, max_iters):
+        cfg = OptimizerConfig(n=n, p=p, init=init, seed=seed, max_iters=max_iters)
+        assert same_result(optimize(cfg), reference_optimize(cfg))
+
+    def test_polish_covers_top_moves_and_ties(self):
+        events = np.zeros(3, dtype=int)
+        for label, z0, p in polish_starts():
+            log = []
+            z_ref, v_ref = reference_polish(z0, p, log)
+            z, v = opt._polish(z0, p)
+            assert same_bits(z, z_ref) and repr(v) == repr(v_ref), (label, p)
+            events += np.array([entry[1:] for entry in log]).sum(axis=0)
+        at_top, raised_top, tied = events
+        # the argmax point moved, a move raised top, and moves were taken
+        # while two points shared the top modulus
+        assert at_top > 0 and raised_top > 0 and tied > 0
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 7, 10 ** 6])
+    def test_polish_at_any_window(self, monkeypatch, window):
+        # window 1 puts every accepted move on the last slot of its window;
+        # 10**6 scores a whole round per pass
+        monkeypatch.setattr(opt, "_POLISH_WINDOW", window)
+        for label, z0, p in polish_starts()[::4]:
+            z_ref, v_ref = reference_polish(z0, p)
+            z, v = opt._polish(z0, p)
+            assert same_bits(z, z_ref) and repr(v) == repr(v_ref), (label, p)
+
+    @pytest.mark.parametrize("n", [6, opt._EXP_FLOOR_MIN_N - 1, opt._EXP_FLOOR_MIN_N, 40])
+    @pytest.mark.parametrize("p", [0.5, 2.0, 3.0, 64.0])
+    def test_soft_eval(self, n, p):
+        rng = np.random.default_rng(n)
+        z = random_distinct_points(rng, n, min_gap=0.01)
+        if n == 6:
+            z[0] = 0.0  # a zero modulus takes the masked numerator gradient
+        for beta in (3.0, 30.0 * n, 3000.0 * n):
+            pairs, moduli = opt._pair_distances(z), np.abs(z)
+            ref_pairs = reference_pair_distances(z)
+            assert same_bits(pairs[1], ref_pairs[1])
+            f, soft, grad = opt._soft_eval(z, p, beta, True, pairs, moduli)
+            f_ref, soft_ref, grad_ref = reference_soft_eval(z, p, beta, True, ref_pairs, moduli)
+            assert repr((f, soft)) == repr((f_ref, soft_ref))
+            assert same_bits(grad, grad_ref)
+            f, soft, gap = opt._soft_eval(z, p, beta, False, pairs, moduli)
+            assert repr((f, soft)) == repr((f_ref, soft_ref))
+            assert repr(gap) == repr(float(ref_pairs[1].min()))
+
+    def test_descent_peak_memory(self):
+        # the soft objective's n x n temporaries: 65 n^2 bytes at the peak
+        # (a rejected candidate's distances are freed before the next one)
+        n = 200
+        cfg = OptimizerConfig(n=n, init="random", seed=1)
+        betas, steps = cfg.resolved_schedules()
+        z0 = opt._initial_points(cfg, 0)
+        tracemalloc.start()
+        try:
+            opt._descend(z0, 2.0, 2.0, betas, steps, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 68 * n * n
+
+
+class TestNumpyAssumptions:
+    """Properties of numpy that the fast paths' bit identity rests on.  A numpy
+    whose kernels break one of them fails here first."""
+
+    @staticmethod
+    def complex_sample(size, seed=0):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3, size)
+        return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+    def test_hypot_equals_scalar_abs(self):
+        z = self.complex_sample(20000)
+        scalar = np.array([abs(v) for v in z])
+        assert same_bits(np.hypot(z.real, z.imag), scalar)
+
+    def test_abs_of_difference_rows_is_position_free(self):
+        # polish scores a window of moves as one 2-D |z - z_j| array
+        z = self.complex_sample(61)
+        zs = self.complex_sample(37, seed=1)
+        block = np.abs(z[None, :] - zs[:, None])
+        assert all(same_bits(block[j], np.abs(z - zs[j])) for j in range(zs.size))
+
+    @pytest.mark.parametrize("p", [0.5, 2.0, 3.0, 64.0, 1.0 / 64.0, 1.0 / 3.0])
+    def test_power_is_the_same_on_short_arrays(self, p):
+        u = np.random.default_rng(2).uniform(0.0, 1.0, 4099)
+        full = u ** p
+        for size in (1, 2, 3, 7, 8, 9, 48):
+            for start in (0, 1, 5, 4000):
+                assert same_bits(u[start:start + size] ** p, full[start:start + size])
+
+    def test_row_sums_equal_one_dimensional_sums(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 5, 12, 30, 61, 300):
+            block = rng.uniform(0.0, 1.0, (48, n)) ** 3.0
+            sums = block.sum(axis=1)
+            assert all(same_bits(sums[j], np.sum(block[j].copy())) for j in range(48))
+
+    def test_exp_floor_is_exact(self):
+        x = -np.random.default_rng(4).uniform(0.0, 2000.0, (40, 40))
+        x[0, 0] = -np.inf
+        floored = np.zeros_like(x)
+        np.exp(x, out=floored, where=x > opt._EXP_FLOOR)
+        assert same_bits(floored, np.exp(x))
