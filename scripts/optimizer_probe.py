@@ -14,7 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from eigencond.extremal import proposition_constant, separation_functional
+from eigencond.extremal import (_growth_scale, proposition_constant,
+                                separation_functional)
 from eigencond.lattice import first_n_lattice_points
 from eigencond.optimizer import OptimizerConfig, optimize
 
@@ -39,8 +40,7 @@ def main() -> int:
             n=n, p=args.p, init="lattice", seed=args.seed,
             restarts=1, max_iters=args.max_iters))
         best = min(from_random.objective, from_lattice.objective)
-        scale = n ** (0.5 + (0.0 if args.p == float("inf") else 1.0 / args.p))
-        bound_ratio = best / (proposition_constant(args.p) * scale)
+        bound_ratio = best / (proposition_constant(args.p) * _growth_scale(n, args.p))
         print(f"{n},{lattice_objective!r},{from_random.objective!r},"
               f"{from_lattice.objective!r},{bound_ratio!r}")
     return 0

@@ -15,32 +15,26 @@ from .conditioning import (ConditionReport, EigenpairReport, PerturbationResult,
                            perturbation_experiment)
 from .errors import (ClusteredSpectrumError, DuplicatePointsError, IllPosedError,
                      NumericalError, UsageError)
-from .extremal import (AsymptoticRow, BoundCertificate, convergence_study,
-                       lower_bound_certificate, modulus_p_norm,
+from .extremal import (AsymptoticRow, convergence_study, modulus_p_norm,
                        proposition_constant, separation_functional)
 from .lattice import (Configuration, LatticeSites, enumerate_lattice_in_disk,
                       first_n_lattice_points, first_n_sites, lattice_count,
-                      nearest_neighbor_distances, pairwise_min_separation,
-                      translate_to_centroid)
-from .linalg import (SchurForm, eigenvalues, frobenius_norm, operator_norm,
-                     read_matrix, right_eigenvector, right_left_eigenpair, schur,
-                     smallest_singular_value, write_matrix)
+                      nearest_neighbor_distances, pairwise_min_separation)
+from .linalg import (SchurForm, frobenius_norm, operator_norm, read_matrix,
+                     right_eigenvector, right_left_eigenpair, schur, write_matrix)
 from .optimizer import (OptimizerConfig, OptimizerResult, gradient, optimize,
                         soft_separation_functional)
 
 __all__ = [
-    "AsymptoticRow", "BoundCertificate", "ClusteredSpectrumError",
-    "ConditionReport", "Configuration", "DuplicatePointsError",
-    "EigenpairReport", "IllPosedError", "LatticeSites", "NumericalError",
-    "OptimizerConfig", "OptimizerResult", "PerturbationResult",
+    "AsymptoticRow", "ClusteredSpectrumError", "ConditionReport", "Configuration",
+    "DuplicatePointsError", "EigenpairReport", "IllPosedError", "LatticeSites",
+    "NumericalError", "OptimizerConfig", "OptimizerResult", "PerturbationResult",
     "PerturbationRow", "SchurForm", "UsageError", "condition_report",
-    "condition_report_diagonal", "convergence_study", "eigenvalues",
-    "enumerate_lattice_in_disk", "first_n_lattice_points", "first_n_sites",
-    "frobenius_norm", "gradient", "kappa_lambda", "kappa_x", "lattice_count",
-    "lower_bound_certificate", "modulus_p_norm", "nearest_neighbor_distances",
-    "operator_norm", "optimize", "pairwise_min_separation",
-    "perturbation_experiment", "proposition_constant", "read_matrix",
-    "right_eigenvector", "right_left_eigenpair", "schur",
-    "separation_functional", "smallest_singular_value",
-    "soft_separation_functional", "translate_to_centroid", "write_matrix",
+    "condition_report_diagonal", "convergence_study", "enumerate_lattice_in_disk",
+    "first_n_lattice_points", "first_n_sites", "frobenius_norm", "gradient",
+    "kappa_lambda", "kappa_x", "lattice_count", "modulus_p_norm",
+    "nearest_neighbor_distances", "operator_norm", "optimize",
+    "pairwise_min_separation", "perturbation_experiment", "proposition_constant",
+    "read_matrix", "right_eigenvector", "right_left_eigenpair", "schur",
+    "separation_functional", "soft_separation_functional", "write_matrix",
 ]

@@ -27,7 +27,7 @@ from . import __version__
 from .conditioning import (condition_report, condition_report_diagonal,
                            perturbation_experiment)
 from .errors import DuplicatePointsError, NumericalError, UsageError
-from .extremal import (convergence_study, lattice_prefix_functionals,
+from .extremal import (_growth_scale, convergence_study, lattice_prefix_functionals,
                        proposition_constant)
 from .lattice import (CELL_AREA, Configuration, enumerate_lattice_in_disk,
                       first_n_sites)
@@ -253,10 +253,10 @@ def read_configuration_csv(path) -> Configuration:
     return Configuration(points)
 
 
-def write_configuration_csv(fh, points) -> None:
-    fh.write("re,im\n")
-    for z in points:
-        fh.write(f"{_fmt(z.real)},{_fmt(z.imag)}\n")
+def _require_two_eigenvalues(n: int) -> None:
+    """cond and perturb need a second eigenvalue: n < 2 is bad input (exit 1)."""
+    if n < 2:
+        raise UsageError("condition reports need n >= 2")
 
 
 def _load_matrix_or_diag(ns) -> np.ndarray:
@@ -264,13 +264,15 @@ def _load_matrix_or_diag(ns) -> np.ndarray:
         raise UsageError("provide exactly one of: a matrix file, or --diag CSV")
     if ns.matrix is not None:
         try:
-            return read_matrix(ns.matrix)
+            matrix = read_matrix(ns.matrix)
         except OSError as exc:
             raise UsageError(f"cannot read matrix file {ns.matrix}: {exc}") from exc
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    config = read_configuration_csv(ns.diag)
-    return np.diag(config.points)
+    else:
+        matrix = np.diag(read_configuration_csv(ns.diag).points)
+    _require_two_eigenvalues(matrix.shape[0])
+    return matrix
 
 
 def _emit(ns, manifest: RunManifest, text) -> None:
@@ -334,7 +336,9 @@ def _condition_rows(report) -> list[str]:
 
 def _cmd_cond(ns) -> None:
     if ns.diag is not None and ns.matrix is None:
-        report = condition_report_diagonal(read_configuration_csv(ns.diag))
+        config = read_configuration_csv(ns.diag)
+        _require_two_eigenvalues(config.n)
+        report = condition_report_diagonal(config)
         params, environment = {"diag": ns.diag}, None
     else:
         report = condition_report(_load_matrix_or_diag(ns))
@@ -430,16 +434,15 @@ def reproduce_rows(n: int) -> list[dict]:
     For Diag(z) kappa_max_frob and kappa_max_op are the separation
     functionals S_2 and S_inf.  On the first-n lattice prefix both come from
     exact integer shell sums (lattice_prefix_functionals), with no site
-    enumerated, and are normalized by n and sqrt(n).
+    enumerated, and are normalized by their growth scales n and sqrt(n).
     """
     if n < 100:
         raise ValueError("reproduce needs n >= 100 (asymptotic regime)")
     s_2, s_inf = lattice_prefix_functionals(n)
     rows = []
-    for label, p, value, scale in (("frobenius", 2.0, s_2, float(n)),
-                                   ("operator", math.inf, s_inf, math.sqrt(float(n)))):
+    for label, p, value in (("frobenius", 2.0, s_2), ("operator", math.inf, s_inf)):
         target = proposition_constant(p)
-        ratio = value / scale
+        ratio = value / _growth_scale(n, p)
         rows.append({"norm": label, "n": n, "measured_ratio": ratio,
                      "target": target, "rel_deviation": abs(ratio - target) / target})
     return rows

@@ -90,29 +90,27 @@ def _kappa_x(sigma_min: float, s: int) -> float:
     return math.inf if sigma_min == 0.0 else float(pow2_scale(1.0 / sigma_min, s))
 
 
-def kappa_lambda(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
-                 gap_tol: float = EIG_GAP_TOL) -> float:
+def kappa_lambda(a, lam) -> float:
     """Eigenvalue condition number ||y|| ||x|| / |y^H x| for simple lam."""
-    pair, _ = locate_eigenpair(a, lam, residual_tol=residual_tol, gap_tol=gap_tol)
+    pair, _ = locate_eigenpair(a, lam, simple=True)
     return _overlap_kappa(pair.inv_overlap)
 
 
-def kappa_x(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL) -> float:
+def kappa_x(a, lam) -> float:
     """Eigenvector condition number for lam; +inf when lam is repeated."""
     m = as_matrix(a, square=True)
     if m.shape[0] == 1:
         raise ValueError("kappa_x is undefined for 1x1 matrices: no deflated block")
-    pair, s = locate_eigenpair(m, lam, residual_tol=residual_tol)
+    pair, s = locate_eigenpair(m, lam)
     return _kappa_x(pair.sigma_min, s)
 
 
-def _require_simple_spectrum(lams: np.ndarray, anorm: float, gap_tol: float,
-                             s: int) -> None:
-    """Raise ClusteredSpectrumError listing every pair closer than gap_tol*anorm.
+def _require_simple_spectrum(lams: np.ndarray, anorm: float, s: int) -> None:
+    """Raise ClusteredSpectrumError listing every pair closer than EIG_GAP_TOL*anorm.
 
     lams and anorm belong to A * 2^s; the message reports values of A.
     """
-    threshold = gap_tol * anorm
+    threshold = EIG_GAP_TOL * anorm
     if nearest_neighbor_distances(lams).min() <= threshold:
         close = np.abs(lams[:, None] - lams[None, :]) <= threshold
         values = pow2_scale(lams, -s)
@@ -124,8 +122,7 @@ def _require_simple_spectrum(lams: np.ndarray, anorm: float, gap_tol: float,
 
 
 @one_blas_thread()
-def condition_report(a, *, residual_tol: float = EIG_RESIDUAL_TOL,
-                     gap_tol: float = EIG_GAP_TOL) -> ConditionReport:
+def condition_report(a) -> ConditionReport:
     """Full conditioning report from one Schur form; requires a simple spectrum.
 
     The matrix is prescaled by an exact power of two, so kappa_max_* and
@@ -143,10 +140,10 @@ def condition_report(a, *, residual_tol: float = EIG_RESIDUAL_TOL,
     order = _spectrum_order(eigs)
     lams = eigs[order]
     nf = float(np.linalg.norm(ms))
-    _require_simple_spectrum(lams, nf, gap_tol, s)
+    _require_simple_spectrum(lams, nf, s)
     no = operator_norm(ms)
     pairs = [schur_eigenpair(form, int(k)) for k in order]
-    tol = residual_tol * (nf if nf > 0.0 else 1.0)
+    tol = EIG_RESIDUAL_TOL * (nf if nf > 0.0 else 1.0)
     res_r = verified_residuals(ms, lams, np.stack([p.x for p in pairs], axis=1), tol)
     res_l = verified_residuals(ms, lams, np.stack([p.y for p in pairs], axis=1), tol,
                                left=True)
@@ -234,9 +231,7 @@ def _match_eigenvalues(lams: np.ndarray, w: np.ndarray, min_gap: float):
 
 @one_blas_thread()
 def perturbation_experiment(a, epsilon: float, trials: int = 100,
-                            norm_kind: str = "frob", seed: int = 0,
-                            *, residual_tol: float = EIG_RESIDUAL_TOL,
-                            gap_tol: float = EIG_GAP_TOL) -> PerturbationResult:
+                            norm_kind: str = "frob", seed: int = 0) -> PerturbationResult:
     """Empirical check of the first-order perturbation law.
 
     Each trial draws a complex Ginibre matrix E normalized to unit chosen
@@ -259,7 +254,7 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
     if trials < 1:
         raise ValueError("at least one trial is required")
     m = as_matrix(a, square=True)
-    base = condition_report(m, residual_tol=residual_tol, gap_tol=gap_tol)
+    base = condition_report(m)
     n = m.shape[0]
     lams = np.array([row.eigenvalue for row in base.per_eigenpair])
     vecs = np.stack([row.x for row in base.per_eigenpair], axis=1)

@@ -17,6 +17,11 @@ configuration file, and none of them prints a result row:
 
 The library function `extremal.separation_functional` does not raise: it
 returns +inf for coincident points, the value the optimizer compares against.
+
+Fewer than two points is bad input, so every subcommand raises UsageError
+(exit 1) for it before computing anything: `cond` and `perturb` on a 1x1
+matrix file or a one-point `--diag` CSV, `asymptotics --n-list 1` and
+`optimize --n 1`.
 """
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -93,8 +93,15 @@ def proposition_constant(p) -> float:
 
 
 def _growth_scale(n: int, p: float) -> float:
+    """n^(1/2 + 1/p), the growth of min S_p.
+
+    At p = inf it is math.sqrt(n), correctly rounded; n ** 0.5 is 1 ulp off
+    at some n (2921 is the first above 100).
+    """
+    if math.isinf(p):
+        return math.sqrt(float(n))
     try:
-        return float(n) ** (0.5 + (0.0 if math.isinf(p) else 1.0 / p))
+        return float(n) ** (0.5 + 1.0 / p)
     except OverflowError:
         raise NumericalError(f"n^(1/2 + 1/p) overflows at n = {n}, p = {p!r}") from None
 
@@ -137,21 +144,3 @@ def convergence_study(p, n_values: Sequence[int],
         rows.append(AsymptoticRow(n=n, raw=raw, scale=scale, ratio=raw / scale,
                                   target=target))
     return rows
-
-
-class BoundCertificate(NamedTuple):
-    value: float
-    bound: float
-    margin: float
-
-
-def lower_bound_certificate(c: Configuration, p) -> BoundCertificate:
-    """Compare S_p(c) with the leading-order bound c_p * n^(1/2+1/p).
-
-    The bound is asymptotic: finite configurations may legally have margin
-    below 1, so the margin is reported, never asserted.
-    """
-    p = _validate_p(p)
-    value = separation_functional(c, p)
-    bound = proposition_constant(p) * _growth_scale(c.n, p)
-    return BoundCertificate(value=value, bound=bound, margin=value / bound)

@@ -319,10 +319,3 @@ def first_n_lattice_points(n: int) -> Configuration:
     """
     z = first_n_sites(n).z
     return Configuration(z, min_separation=1.0 if z.size >= 2 else None)
-
-
-def translate_to_centroid(c: Configuration) -> Configuration:
-    """Shift a configuration so its mean is zero; distances are unchanged."""
-    pts = c.points
-    shifted = pts - pts.mean()
-    return Configuration(shifted, min_separation=c._min_sep)

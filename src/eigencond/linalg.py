@@ -3,7 +3,7 @@
 Factorizations delegate to LAPACK through numpy/scipy; every factor handed
 back is re-checked against explicit residual tolerances, and eigenvector
 extraction flags clustered spectra instead of returning garbage.  The
-tolerances below are package defaults, overridable per call.
+tolerances below are fixed: every check of the package reads them.
 
 Eigenpairs come from one engine (schur_eigenpair, after LAPACK's xTREXC /
 xTRSNA): the Schur form T = Q^H A Q is reordered so that the eigenvalue
@@ -181,11 +181,6 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
 
 
-def smallest_singular_value(m) -> float:
-    """Least singular value (0 for rank-deficient input)."""
-    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[-1])
-
-
 @dataclass(frozen=True)
 class SchurForm:
     """Unitary q and upper-triangular t with a = q t q^H."""
@@ -202,8 +197,7 @@ class SchurForm:
         return self.q @ self.t @ self.q.conj().T
 
 
-def schur(a, *, unitary_tol: float = UNITARY_TOL, triangular_tol: float = TRIANGULAR_TOL,
-          reconstruct_tol: float = RECONSTRUCT_TOL) -> SchurForm:
+def schur(a) -> SchurForm:
     """Complex Schur decomposition with verified residuals.
 
     Raises NumericalError if the QR iteration fails to converge or any of the
@@ -219,20 +213,15 @@ def schur(a, *, unitary_tol: float = UNITARY_TOL, triangular_tol: float = TRIANG
         raise NumericalError(f"Schur iteration failed to converge: {exc}") from exc
     anorm = float(np.linalg.norm(m))
     unit_err = float(np.linalg.norm(q.conj().T @ q - np.eye(n)))
-    if unit_err > unitary_tol * n:
+    if unit_err > UNITARY_TOL * n:
         raise NumericalError(f"Schur factor not unitary: residual {unit_err:.3e}")
     tri_err = float(np.linalg.norm(np.tril(t, -1)))
-    if tri_err > triangular_tol * max(anorm, 1e-300):
+    if tri_err > TRIANGULAR_TOL * max(anorm, 1e-300):
         raise NumericalError(f"Schur factor not triangular: residual {tri_err:.3e}")
     recon_err = float(np.linalg.norm(m - q @ t @ q.conj().T))
-    if recon_err > reconstruct_tol * max(anorm, 1e-300):
+    if recon_err > RECONSTRUCT_TOL * max(anorm, 1e-300):
         raise NumericalError(f"Schur reconstruction residual too large: {recon_err:.3e}")
     return SchurForm(q=q, t=t)
-
-
-def eigenvalues(a) -> np.ndarray:
-    """Eigenvalue multiset via the verified Schur form."""
-    return schur(a).eigenvalues
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -332,15 +321,15 @@ def verified_residuals(m: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
 
 
 @one_blas_thread()
-def locate_eigenpair(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
-                     gap_tol: float | None = None) -> tuple[SchurEigenpair, int]:
+def locate_eigenpair(a, lam, *, simple: bool = False) -> tuple[SchurEigenpair, int]:
     """Engine entry for one eigenvalue: prescale, Schur form, locate, reorder.
 
     lam is matched to the nearest Schur diagonal entry, which must lie
-    within residual_tol * ||A||_F of it (else ValueError).  With gap_tol the
-    entry must also be simple against the rest of the diagonal (else
-    ClusteredSpectrumError), and the left eigenvector is verified along with
-    the right one.  Returns the pair for the prescaled matrix A * 2^s, and s.
+    within EIG_RESIDUAL_TOL * ||A||_F of it (else ValueError).  With simple
+    the entry must also lie farther than EIG_GAP_TOL * ||A||_F from the rest
+    of the diagonal (else ClusteredSpectrumError), and the left eigenvector
+    is verified along with the right one.  Returns the pair for the
+    prescaled matrix A * 2^s, and s.
     """
     ms, s = prescale(as_matrix(a, square=True))
     form = schur(ms)
@@ -349,13 +338,14 @@ def locate_eigenpair(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
     dist = np.abs(diag - complex(pow2_scale(lam, s)))
     k = int(np.argmin(dist))
     anorm = float(np.linalg.norm(ms))
-    tol = residual_tol * (anorm if anorm > 0.0 else 1.0)
-    if gap_tol is not None and diag.size > 1:
+    tol = EIG_RESIDUAL_TOL * (anorm if anorm > 0.0 else 1.0)
+    if simple and diag.size > 1:
         gap = float(np.min(np.abs(np.delete(diag, k) - diag[k])))
-        if gap <= gap_tol * anorm:
+        threshold = EIG_GAP_TOL * anorm
+        if gap <= threshold:
             raise ClusteredSpectrumError(
                 f"eigenvalue {lam!r} is not simple: nearest other eigenvalue at distance "
-                f"{pow2_scale(gap, -s):.3e} (threshold {pow2_scale(gap_tol * anorm, -s):.3e})",
+                f"{pow2_scale(gap, -s):.3e} (threshold {pow2_scale(threshold, -s):.3e})",
                 cluster=(lam,))
     if dist[k] > tol:
         raise ValueError(f"{lam!r} is not an eigenvalue within tolerance (nearest "
@@ -364,25 +354,24 @@ def locate_eigenpair(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
     pair = schur_eigenpair(form, k)
     lams = np.array([pair.eigenvalue])
     verified_residuals(ms, lams, pair.x[:, None], tol)
-    if gap_tol is not None:
+    if simple:
         verified_residuals(ms, lams, pair.y[:, None], tol, left=True)
     return pair, s
 
 
-def right_eigenvector(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL) -> np.ndarray:
+def right_eigenvector(a, lam) -> np.ndarray:
     """Unit right eigenvector for lam (no simplicity requirement)."""
-    return locate_eigenpair(a, lam, residual_tol=residual_tol)[0].x
+    return locate_eigenpair(a, lam)[0].x
 
 
-def right_left_eigenpair(a, lam, *, residual_tol: float = EIG_RESIDUAL_TOL,
-                         gap_tol: float = EIG_GAP_TOL):
+def right_left_eigenpair(a, lam):
     """Unit right and left eigenvectors (x, y) for a simple eigenvalue lam.
 
     Phases are fixed so each vector's largest-modulus entry is real positive.
     Raises ValueError when lam is not an eigenvalue to tolerance and
     ClusteredSpectrumError when it is not numerically simple.
     """
-    pair, _ = locate_eigenpair(a, lam, residual_tol=residual_tol, gap_tol=gap_tol)
+    pair, _ = locate_eigenpair(a, lam, simple=True)
     return pair.x, pair.y
 
 

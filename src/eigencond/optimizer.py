@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .extremal import (_norm_from_sum, _power_terms, modulus_p_norm,
+from .extremal import (_norm_from_sum, _power_terms, _validate_p, modulus_p_norm,
                        separation_functional)
 from .lattice import Configuration, first_n_lattice_points
 
-BASE_BETAS = (10.0, 30.0, 100.0, 300.0)  # scaled by n when no schedule is given
+BASE_BETAS = (10.0, 30.0, 100.0, 300.0)  # scaled by n
 BASE_STEPS = (0.1, 0.05, 0.02, 0.01)
 _SURROGATE_P_FOR_INF = 64.0
 _POLISH_ROUNDS = 80
@@ -51,8 +51,6 @@ class OptimizerConfig:
 
     n: int
     p: float = 2.0
-    beta_schedule: tuple[float, ...] | None = None
-    step_schedule: tuple[float, ...] | None = None
     restarts: int = 1
     max_iters: int = 300
     seed: int = 0
@@ -62,21 +60,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("optimization needs n >= 2")
-        p = float(self.p)
-        if math.isnan(p) or p <= 0.0:
-            raise ValueError("p must be positive (math.inf allowed)")
-        if self.beta_schedule is not None:
-            betas = tuple(float(b) for b in self.beta_schedule)
-            if not betas or any(b <= 0.0 for b in betas):
-                raise ValueError("beta_schedule must be nonempty and positive")
-            if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-                raise ValueError("beta_schedule must be increasing")
-            object.__setattr__(self, "beta_schedule", betas)
-        if self.step_schedule is not None:
-            steps = tuple(float(s) for s in self.step_schedule)
-            if not steps or any(s <= 0.0 for s in steps):
-                raise ValueError("step_schedule must be nonempty and positive")
-            object.__setattr__(self, "step_schedule", steps)
+        _validate_p(self.p)
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iters < 1:
@@ -93,14 +77,10 @@ class OptimizerConfig:
                 raise ValueError(f"init_points has {len(pts)} points, expected n={self.n}")
             object.__setattr__(self, "init_points", pts)
 
-    def resolved_schedules(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        betas = self.beta_schedule or tuple(b * self.n for b in BASE_BETAS)
-        steps = self.step_schedule or BASE_STEPS
-        if len(steps) == 1:
-            steps = steps * len(betas)
-        if len(steps) != len(betas):
-            raise ValueError("step_schedule length must match beta_schedule")
-        return betas, steps
+
+def _schedules(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The descent's beta and step per continuation stage at n points."""
+    return tuple(b * n for b in BASE_BETAS), BASE_STEPS
 
 
 @dataclass(frozen=True)
@@ -192,10 +172,8 @@ def soft_separation_functional(c: Configuration, p, beta) -> float:
     softmin_beta <= hard min always, with hard_min - softmin_beta bounded by
     log(n*(n-1)/2)/beta.
     """
-    p = float(p)
+    p = _validate_p(p)
     beta = float(beta)
-    if math.isnan(p) or p <= 0.0:
-        raise ValueError("p must be positive")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     if c.n < 2:
@@ -210,10 +188,10 @@ def gradient(c: Configuration, p, beta) -> np.ndarray:
     Real and imaginary parts are the partial derivatives with respect to the
     point's real and imaginary coordinates.
     """
-    p = float(p)
+    p = _validate_p(p)
     beta = float(beta)
-    if math.isnan(p) or p <= 0.0 or math.isinf(p):
-        raise ValueError("the gradient needs finite positive p")
+    if math.isinf(p):
+        raise ValueError("the gradient needs finite p")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     if c.n < 2:
@@ -402,7 +380,7 @@ def optimize(cfg: OptimizerConfig) -> OptimizerResult:
     """
     p_true = float(cfg.p)
     p_smooth = _SURROGATE_P_FOR_INF if math.isinf(p_true) else p_true
-    betas, steps = cfg.resolved_schedules()
+    betas, steps = _schedules(cfg.n)
     if cfg.init == "lattice":
         init_config = first_n_lattice_points(cfg.n)
     else:

@@ -249,7 +249,9 @@ class TestAsymptoticsCommand:
             assert float(row[3]) == pytest.approx(float(row[1]) / float(row[2]), rel=1e-15)
             assert float(row[5]) == pytest.approx(float(row[3]) / float(row[4]), rel=1e-15)
 
-    @pytest.mark.parametrize("n", [100, 4999, 5000, 20000, 123457])
+    # float(n) ** 0.5 != math.sqrt(n) at 2921, 5579 and 7827: the two
+    # commands share one growth scale, so their ratios agree there too
+    @pytest.mark.parametrize("n", [100, 2921, 4999, 5000, 5579, 7827, 20000, 123457])
     def test_lattice_raw_equals_reproduce(self, capsys, n):
         # raw is the functional reproduce divides by its scale: both are the
         # exact integer sums of the enumerated prefix, rounded once
@@ -260,9 +262,10 @@ class TestAsymptoticsCommand:
                                      ("inf", op, math.sqrt(float(n)), int(q.max()))):
             code, out, _ = run_cli(capsys, "asymptotics", "--p", p, "--n-list", str(n))
             assert code == 0
-            raw = float(csv_rows(out)[1][0][1])
-            assert raw == math.sqrt(float(exact))
-            assert raw / scale == row["measured_ratio"]
+            _, raw, scale_out, ratio, _, _ = csv_rows(out)[1][0]
+            assert float(raw) == math.sqrt(float(exact))
+            assert float(scale_out) == scale
+            assert float(ratio) == float(raw) / scale == row["measured_ratio"]
 
     def test_infinite_p(self, capsys):
         code, out, _ = run_cli(capsys, "asymptotics", "--p", "inf", "--n-list", "100")
@@ -621,6 +624,31 @@ def test_duplicate_points_exit_2(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "asymptotics", "--p", "2", "--n-list", "2",
                            "--generator", "file", "--file", path)
     assert code == 0 and len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("cond", "--diag", "{csv}"), ("cond", "{mat}"),
+    ("perturb", "--diag", "{csv}", "--eps", "1e-6"), ("perturb", "{mat}", "--eps", "1e-6"),
+    ("asymptotics", "--p", "2", "--n-list", "1"), ("optimize", "--n", "1"),
+], ids=["cond-diag", "cond-matrix", "perturb-diag", "perturb-matrix", "asymptotics",
+        "optimize"])
+def test_fewer_than_two_points_exit_1(capsys, tmp_path, monkeypatch, args):
+    # one rule in every subcommand: bad input, rejected before any computation
+    one_csv = tmp_path / "one.csv"
+    one_csv.write_text("re,im\n1.0,0.0\n")
+    one_mat = tmp_path / "one.mat"
+    write_matrix(one_mat, np.array([[2.0 - 1.0j]]))
+
+    def forbidden(*unused, **kwargs):
+        raise AssertionError("a report ran on fewer than two points")
+
+    for name in ("condition_report", "condition_report_diagonal",
+                 "perturbation_experiment", "optimize"):
+        monkeypatch.setattr(eigencond.cli, name, forbidden)
+    argv = [arg.format(csv=one_csv, mat=one_mat) for arg in args]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and ("n >= 2" in err or "two points" in err)
 
 
 def _write_config(tmp_path):

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from conftest import random_distinct_points
 from eigencond.conditioning import condition_report_diagonal
 from eigencond.errors import NumericalError
-from eigencond.extremal import (convergence_study, lower_bound_certificate,
-                                modulus_p_norm, proposition_constant,
-                                separation_functional)
+from eigencond.extremal import (_growth_scale, convergence_study, modulus_p_norm,
+                                proposition_constant, separation_functional)
 from eigencond.lattice import Configuration, first_n_lattice_points
 
 INF = math.inf
@@ -154,25 +153,34 @@ class TestConvergenceStudy:
             convergence_study(2.0, [200, 100])
 
 
-class TestLowerBoundCertificate:
+class TestConvergenceMargin:
+    """The margin ratio / target of a convergence_study row (the asymptotics
+    column) is S_p over the leading-order value c_p * n^(1/2+1/p)."""
+
+    @staticmethod
+    def row(config, p=2.0):
+        (row,) = convergence_study(p, [config.n], generator=lambda n: config)
+        return row
+
     def test_antipodal_pair(self):
-        cert = lower_bound_certificate(Configuration([-0.5, 0.5]), 2.0)
-        assert cert.value == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-        assert cert.bound == pytest.approx(2.0 * proposition_constant(2.0), rel=1e-15)
+        row = self.row(Configuration([-0.5, 0.5]))
+        assert row.raw == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+        assert row.target * row.scale == pytest.approx(2.0 * proposition_constant(2.0),
+                                                       rel=1e-15)
         # closed form: sqrt(pi) / (sqrt(2) * 3^(1/4))
         expected_margin = math.sqrt(math.pi) / (math.sqrt(2.0) * 3.0 ** 0.25)
-        assert cert.margin == pytest.approx(expected_margin, rel=1e-12)
-        assert cert.margin < 1.0  # legal at finite n: the bound is asymptotic
+        assert row.ratio / row.target == pytest.approx(expected_margin, rel=1e-12)
+        assert row.ratio / row.target < 1.0  # legal at finite n: the value is asymptotic
 
     def test_equilateral_triangle(self):
-        cert = lower_bound_certificate(equilateral_triangle(), 2.0)
-        assert cert.value == pytest.approx(1.0, rel=1e-12)
+        row = self.row(equilateral_triangle())
+        assert row.raw == pytest.approx(1.0, rel=1e-12)
         expected_margin = 2.0 * math.sqrt(math.pi) / (3.0 * 3.0 ** 0.25)
-        assert cert.margin == pytest.approx(expected_margin, rel=1e-12)
+        assert row.ratio / row.target == pytest.approx(expected_margin, rel=1e-12)
 
     def test_lattice_10k(self):
-        cert = lower_bound_certificate(first_n_lattice_points(10_000), 2.0)
-        assert 0.97 <= cert.margin <= 1.05
+        row = self.row(first_n_lattice_points(10_000))
+        assert 0.97 <= row.ratio / row.target <= 1.05
 
 
 class TestFloatRange:
@@ -192,7 +200,7 @@ class TestFloatRange:
         pair = Configuration([0.0, 1.0])
         assert separation_functional(pair, 0.0005) == 1.0
         with pytest.raises(NumericalError):
-            lower_bound_certificate(pair, 0.0005)
+            _growth_scale(2, 0.0005)
         with pytest.raises(NumericalError):
             convergence_study(0.0005, [2], generator=lambda n: pair)
 

@@ -14,8 +14,7 @@ import eigencond.lattice
 from eigencond.lattice import (CELL_AREA, Configuration, _kd_tree_nearest, _shell_sums,
                                enumerate_lattice_in_disk, first_n_lattice_points,
                                first_n_sites, lattice_count, lattice_prefix_sums,
-                               nearest_neighbor_distances, pairwise_min_separation,
-                               translate_to_centroid)
+                               nearest_neighbor_distances, pairwise_min_separation)
 
 DENSITY = 2.0 * math.pi / math.sqrt(3.0)  # limit of count / r^2
 
@@ -271,45 +270,9 @@ def test_first_n_min_separation_is_one(n):
     assert abs(brute_min_separation(c.points) - 1.0) <= 1e-13
 
 
-def test_translate_two_points():
-    c = translate_to_centroid(Configuration([0.0, 1.0]))
-    assert np.allclose(sorted(c.points, key=lambda z: z.real), [-0.5, 0.5], atol=0)
-
-
-def test_translate_preserves_distances():
-    c = Configuration([0.0, 1.0, 1.0j])
-    t = translate_to_centroid(c)
-    assert abs(t.points.mean()) < 1e-15
-    orig = np.abs(c.points[:, None] - c.points[None, :])
-    new = np.abs(t.points[:, None] - t.points[None, :])
-    assert np.allclose(orig, new, rtol=0, atol=1e-15)
-
-
 def test_lattice_centroid_shift_below_unity():
     c = first_n_lattice_points(100)
     assert abs(c.points.mean()) < 1.0
-    assert abs(translate_to_centroid(c).points.mean()) < 1e-12
-
-
-def test_translate_min_separation_within_ulps():
-    # recomputing from translated points moves the minimum by rounding only;
-    # the bound scales with (point scale / gap), so desk-scale families stay
-    # within 4 ulps
-    eps = np.finfo(float).eps
-    rng = np.random.default_rng(5)
-    cases = [first_n_lattice_points(n).points for n in (20, 100, 200)]
-    for _ in range(10):
-        jitter = 0.12 * (rng.standard_normal(25) + 1j * rng.standard_normal(25))
-        cases.append(first_n_lattice_points(25).points + jitter)
-    for z in cases:
-        before = pairwise_min_separation(z)
-        after = brute_min_separation(translate_to_centroid(Configuration(z)).points)
-        assert abs(after - before) <= 4.0 * eps * before
-
-
-def test_translate_carries_the_cached_separation():
-    c = Configuration([0.0, 1.0, 5.0], min_separation=1.0)
-    assert translate_to_centroid(c).min_separation == 1.0
 
 
 @given(st.integers(min_value=2, max_value=50), st.integers(min_value=0, max_value=10_000))

@@ -187,10 +187,6 @@ class TestOptimize:
         with pytest.raises(ValueError):
             OptimizerConfig(n=3, p=0.0)
         with pytest.raises(ValueError):
-            OptimizerConfig(n=3, beta_schedule=(30.0, 10.0))
-        with pytest.raises(ValueError):
-            OptimizerConfig(n=3, step_schedule=(0.1, -0.1))
-        with pytest.raises(ValueError):
             OptimizerConfig(n=3, restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(n=3, init="file")
@@ -297,7 +293,7 @@ class TestFastPathsMatchOracles:
         # (a rejected candidate's distances are freed before the next one)
         n = 200
         cfg = OptimizerConfig(n=n, init="random", seed=1)
-        betas, steps = cfg.resolved_schedules()
+        betas, steps = opt._schedules(n)
         z0 = opt._initial_points(cfg, 0)
         tracemalloc.start()
         try:
