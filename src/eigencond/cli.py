@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -42,8 +43,8 @@ SEED_ENV_VAR = "EIGENCOND_SEED"
 MAX_POINTS = 4_000_000
 _CSV_CHUNK_ROWS = 16_384  # lattice CSV rows formatted at once (about 1 MB of text)
 
-# Largest reproduce --n.  reproduce builds no sites: its shell sums take
-# O(sqrt(n)) time and memory, 30-40 ms at this cap.
+# Largest reproduce --n.  reproduce builds no sites: lattice_prefix_sums
+# takes O(sqrt(n)) time and memory, about 5 ms at this cap.
 MAX_REPRODUCE_N = 10 ** 9
 
 # Largest optimize --n.  The descent holds several n x n arrays at once: its
@@ -202,6 +203,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_reproduce)
 
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser(), built once per process: building it costs more than a
+    whole reproduce run, and parsing leaves it unchanged, so main reuses it."""
+    return build_parser()
 
 
 def _resolve_seed(ns) -> int:
@@ -462,7 +470,7 @@ def _cmd_reproduce(ns) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         ns = parser.parse_args(argv)
         ns.func(ns)

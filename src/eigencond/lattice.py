@@ -11,6 +11,9 @@ integer row table decides the disk q <= Q (_disk_rows): with t = 2a + b,
 4q = t^2 + 3b^2, so row b holds the t of b's parity with t^2 <= 4Q - 3b^2.
 Enumeration expands each row into its consecutive a (_sites_within); counts
 and sums of q need no site, as each row's are closed forms (_shell_sums).
+The first n sites end in the shell q = q_max; lattice_prefix_sums finds it in
+one pass over the sites between two disks that bracket it, and first_n_sites
+enumerates the disk q <= q_max only.
 """
 
 from __future__ import annotations
@@ -266,33 +269,46 @@ def _shell_sums(bound: int) -> tuple[int, int]:
     return int(count.sum()), sum(four_q.tolist()) // 4
 
 
-def _prefix_bound(n: int) -> int:
-    """Smallest Q with N(Q) >= n, where N(Q) counts the sites with q <= Q."""
-    # the Voronoi-cell bracket (_CELL_RADIUS), widened by one for rounding,
-    # gives N(lo) < n <= N(hi); bisection keeps that invariant
-    s = math.sqrt(n * CELL_AREA / math.pi)
-    lo = math.floor((s - _CELL_RADIUS) ** 2) - 1 if s > _CELL_RADIUS else -1
-    hi = math.ceil((s + _CELL_RADIUS) ** 2) + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _shell_sums(mid)[0] >= n:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def lattice_prefix_sums(n: int) -> tuple[int, int]:
     """(q_max, sum of q) over the first n lattice sites, as exact ints.
 
-    The sites beyond the last full shell all have q = q_max, so these depend
-    only on n: no site is enumerated, in O(sqrt(n)) time and memory.
+    q_max is the smallest Q with N(Q) >= n, where N(Q) counts the sites with
+    q <= Q; the sites beyond the last full shell all have q = q_max, so both
+    depend only on n.  The Voronoi-cell bracket (_CELL_RADIUS), widened by one
+    for rounding, gives N(lo) < n <= N(hi).  _shell_sums(lo) counts and sums
+    the disk q <= lo; the about 4.4 sqrt(n) sites with lo < q <= hi are listed
+    from the two row tables and counted per shell, which locates q_max and
+    sums q below it in the same pass.  No site of the prefix is enumerated:
+    O(sqrt(n)) time and memory.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    q_max = _prefix_bound(n)
-    inside, q_sum = _shell_sums(q_max - 1)
+    s = math.sqrt(n * CELL_AREA / math.pi)
+    lo = math.floor((s - _CELL_RADIUS) ** 2) - 1 if s > _CELL_RADIUS else -1
+    hi = math.ceil((s + _CELL_RADIUS) ** 2) + 1
+    inside, q_sum = _shell_sums(lo)
+    # rows b >= 0 of the annulus lo < q <= hi hold t = start, start + 2, ..., top
+    # with t >= 0; a row the disk q <= lo misses starts at t = 0 or 1
+    top = _disk_rows(hi)
+    b = np.arange(top.size, dtype=np.int64)
+    start = b & 1
+    below = _disk_rows(lo)
+    start[:below.size] = below + 2
+    count = (top - start) // 2 + 1
+    first = np.cumsum(count) - count
+    bb = np.repeat(b, count)
+    t = 2 * np.arange(bb.size, dtype=np.int64) + np.repeat(start - 2 * first, count)
+    # each site stands for its mirror images at -t and at -b
+    weight = (1 + (t > 0)) * (1 + (bb > 0))
+    shells = np.bincount((t * t + 3 * bb * bb) // 4 - (lo + 1), weights=weight,
+                         minlength=hi - lo).astype(np.int64)
+    k = int(np.searchsorted(np.cumsum(shells), n - inside))
+    q_max = lo + 1 + k
+    # the annulus holds about 8.4 sqrt(hi) sites, so its sum of q stays below
+    # 8.4 hi^1.5 < 2^61 in int64 for hi <= _MAX_SHELL_BOUND
+    inside += int(shells[:k].sum())
+    q_sum += int(shells[:k] @ np.arange(lo + 1, q_max, dtype=np.int64))
     return q_max, q_sum + (n - inside) * q_max
 
 
@@ -303,10 +319,8 @@ def lattice_count(r) -> int:
 
 def first_n_sites(n: int) -> LatticeSites:
     """The first n lattice sites in increasing modulus order (deterministic ties)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _sites_within(_prefix_bound(n)).prefix(n)
+    q_max, _ = lattice_prefix_sums(n)
+    return _sites_within(q_max).prefix(int(n))
 
 
 def first_n_lattice_points(n: int) -> Configuration:

@@ -115,15 +115,33 @@ def _rescale_gauge(z: np.ndarray) -> np.ndarray:
     return z if gap == 0.0 else z / gap
 
 
+def _state_terms(d: np.ndarray, moduli: np.ndarray, p: float):
+    """(dmin, num, u, scale) of a state: its minimum gap, the p-norm num of
+    its moduli, u = moduli / max moduli, and the factor that turns
+    u^(p - 1) into the p-norm's gradient.  u and scale are None at p = inf,
+    and all but dmin are None when points coincide (dmin = 0)."""
+    dmin = float(d.min())
+    if dmin == 0.0:
+        return dmin, None, None, None
+    top = float(moduli.max())
+    if math.isinf(p):
+        return dmin, top, None, None
+    u = moduli / top
+    power_sum = np.sum(u ** p)
+    num = _norm_from_sum(top, power_sum, p)
+    return dmin, num, u, num / (top * float(power_sum))
+
+
 def _soft_eval(z: np.ndarray, p: float, beta: float, with_grad: bool,
-               pairs, moduli):
+               pairs, moduli, terms=None):
     """Soft objective, the soft gap, and the gradient or, without it, the hard gap.
 
-    pairs is _pair_distances(z) and moduli is np.abs(z); the caller builds
-    them, so one build can serve several evaluations.
+    pairs is _pair_distances(z), moduli is np.abs(z) and terms is
+    _state_terms(pairs[1], moduli, p), built here when omitted; the caller
+    builds them, so one build can serve several evaluations.
     """
     dz, d = pairs
-    dmin = float(d.min())
+    dmin, num, u, scale = _state_terms(d, moduli, p) if terms is None else terms
     if dmin == 0.0:
         raise NumericalError("coincident points: the soft gap is not defined")
     # max-exponent subtraction: entries of d - dmin are >= 0 (diag stays inf)
@@ -137,19 +155,11 @@ def _soft_eval(z: np.ndarray, p: float, beta: float, with_grad: bool,
     del x  # freed before the gradient's n x n temporaries
     s = float(e.sum()) / 2.0
     softmin = dmin - math.log(s) / beta
-    top = float(moduli.max())
-    if math.isinf(p):
-        num = top
-    else:
-        u = moduli / top
-        power_sum = np.sum(u ** p)
-        num = _norm_from_sum(top, power_sum, p)
     f = num / softmin
     if not with_grad:
         return f, softmin, dmin
     if math.isinf(p):
         raise ValueError("the gradient needs finite p (use a large-p surrogate)")
-    scale = num / (top * float(power_sum))
     if moduli.all():
         grad_num = scale * u ** (p - 1.0) * (z / moduli)
     else:
@@ -204,20 +214,34 @@ def _descend(z0: np.ndarray, p_smooth: float, p_true: float,
              betas, steps, max_iters: int):
     """Continuation descent; tracks the best hard objective ever visited.
 
-    The pair distances and moduli of each accepted configuration are built
-    once and serve both its hard objective and the next gradient.
+    The pair distances, moduli, minimum gap and p_smooth-norm of each
+    accepted configuration are built once and serve both its hard objective
+    and every gradient taken there.  An iteration that accepts no step keeps
+    the configuration and its hard objective.
     """
+
+    def settle(z):
+        pairs, moduli = _pair_distances(z), np.abs(z)
+        terms = _state_terms(pairs[1], moduli, p_smooth)
+        dmin, num = terms[:2]
+        if dmin == 0.0:
+            val = math.inf
+        elif p_true == p_smooth:
+            val = num / dmin
+        else:
+            val = modulus_p_norm(moduli, p_true) / dmin
+        return pairs, moduli, terms, val
+
     z = _rescale_gauge(z0)
-    pairs, moduli = _pair_distances(z), np.abs(z)
-    best_z = z.copy()
-    best_val = _hard_value(pairs[1], moduli, p_true)
-    trace = [(0, best_val)]
+    pairs, moduli, terms, val = settle(z)
+    best_z, best_val = z.copy(), val
+    trace = [(0, val)]
     it = 0
     for beta, step0 in zip(betas, steps):
         step = step0
         for _ in range(max_iters):
             it += 1
-            f, _, g = _soft_eval(z, p_smooth, beta, True, pairs, moduli)
+            f, _, g = _soft_eval(z, p_smooth, beta, True, pairs, moduli, terms)
             gmax = float(np.abs(g).max())
             if not math.isfinite(gmax) or gmax == 0.0:
                 break
@@ -235,13 +259,12 @@ def _descend(z0: np.ndarray, p_smooth: float, p_true: float,
                     z = cand / gap_c  # _rescale_gauge(cand)
                     # free both old pair sets before building the new one
                     pairs = cand_pairs = None
-                    pairs, moduli = _pair_distances(z), np.abs(z)
+                    pairs, moduli, terms, val = settle(z)
                     step = min(s * 1.5, 4.0 * step0)
                     accepted = True
                     break
                 cand_pairs = None  # freed before the next candidate's build
                 s *= 0.5
-            val = _hard_value(pairs[1], moduli, p_true)
             trace.append((it, val))
             if val < best_val:
                 best_val = val

@@ -89,6 +89,27 @@ def four_key_lattice_sites(r, closed=True):
     return a[order], b[order]
 
 
+def reference_prefix_sums(n, shell_sums=None):
+    """Oracle of lattice.lattice_prefix_sums: q_max, the smallest Q with
+    N(Q) >= n, by bisection on the Voronoi-cell bracket, and the sum of q
+    from the shell sums below q_max.  shell_sums(Q) gives (N(Q), sum of q
+    over q <= Q); lattice._shell_sums by default."""
+    from eigencond.lattice import _CELL_RADIUS, CELL_AREA, _shell_sums
+
+    shell_sums = shell_sums or _shell_sums
+    s = math.sqrt(n * CELL_AREA / math.pi)
+    lo = math.floor((s - _CELL_RADIUS) ** 2) - 1 if s > _CELL_RADIUS else -1
+    hi = math.ceil((s + _CELL_RADIUS) ** 2) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if shell_sums(mid)[0] >= n:
+            hi = mid
+        else:
+            lo = mid
+    inside, q_sum = shell_sums(hi - 1)
+    return hi, q_sum + (n - inside) * hi
+
+
 def unitary_with_first_column(x, *, tol=1e-12):
     """Unitary matrix whose first column is the given unit vector.
 

@@ -529,6 +529,76 @@ class TestRepeatedRuns:
             assert result.returncode == 0, result.stderr
             assert json.loads(man.read_text()) == in_process[k], argv
 
+    def test_reused_parser_gives_the_bytes_of_a_fresh_one(self, capsys, tmp_path,
+                                                          monkeypatch):
+        # the same mixed sequence twice, with main's parser reused and with
+        # one built afresh for every call: stdout, stderr, exit codes and
+        # written files must match byte for byte
+        runs = [(None, ["reproduce", "--n", "5000"]),
+                (None, ["asymptotics", "--p", "2", "--n-list", "2,50,2921"]),
+                (None, ["lattice", "--n", "60", "--output", "lat.csv"]),
+                (None, ["cond", "--diag", "lat.csv", "--manifest", "man.json"]),
+                (None, ["optimize", "--n", "6", "--init", "random", "--max-iters", "5",
+                        "--seed", "3", "--trace", "trace.jsonl"]),
+                (None, ["lattice", "--n", "5", "--bogus"]),
+                (None, ["reproduce", "--help"]),
+                ("3", ["optimize", "--n", "5", "--init", "random", "--max-iters", "4"]),
+                ("8", ["optimize", "--n", "5", "--init", "random", "--max-iters", "4"]),
+                (None, ["reproduce", "--n", "100", "--output", "rep.csv"]),
+                (None, ["reproduce", "--n", "100"]),
+                (None, ["asymptotics", "--p", "inf", "--n-list", "7,5579",
+                        "--output", "asy.csv"]),
+                (None, ["asymptotics", "--p", "inf", "--n-list", "7,5579"]),
+                (None, ["cond", "--diag", "missing.csv"]),
+                (None, ["--version"])]
+
+        def sequence(directory):
+            directory.mkdir()
+            monkeypatch.chdir(directory)
+            record = []
+            for env_seed, argv in runs:
+                if env_seed is None:
+                    monkeypatch.delenv("EIGENCOND_SEED", raising=False)
+                else:
+                    monkeypatch.setenv("EIGENCOND_SEED", env_seed)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                captured = capsys.readouterr()
+                record.append((argv, code, captured.out, captured.err))
+            files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+            return record, files
+
+        eigencond.cli._parser.cache_clear()
+        reused = sequence(tmp_path / "reused")
+        monkeypatch.setattr(eigencond.cli, "_parser", eigencond.cli.build_parser)
+        fresh = sequence(tmp_path / "fresh")
+        assert reused == fresh
+        codes = [code for _, code, _, _ in reused[0]]
+        assert codes.count(1) == 2 and codes.count(("exit", 0)) == 2
+        assert reused[0][7][2] != reused[0][8][2]  # stdout under EIGENCOND_SEED 3 and 8
+        assert sorted(reused[1]) == ["asy.csv", "lat.csv", "man.json", "rep.csv",
+                                     "trace.jsonl"]
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        builds = []
+        build = eigencond.cli.build_parser
+
+        def counting_build():
+            builds.append(None)
+            return build()
+
+        monkeypatch.setattr(eigencond.cli, "build_parser", counting_build)
+        eigencond.cli._parser.cache_clear()
+        try:
+            for k in range(50):
+                assert main(["reproduce", "--n", str(100 + k)]) == 0
+        finally:
+            eigencond.cli._parser.cache_clear()
+        capsys.readouterr()
+        assert len(builds) == 1
+
 
 class TestManifest:
     def test_stderr_manifest(self, capsys):

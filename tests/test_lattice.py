@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (brute_min_separation, brute_nearest_neighbor_distances,
-                      four_key_lattice_sites)
+                      four_key_lattice_sites, reference_prefix_sums)
 import eigencond.lattice
+from eigencond.cli import MAX_REPRODUCE_N
 from eigencond.lattice import (CELL_AREA, Configuration, _kd_tree_nearest, _shell_sums,
                                enumerate_lattice_in_disk, first_n_lattice_points,
                                first_n_sites, lattice_count, lattice_prefix_sums,
@@ -162,6 +163,29 @@ def test_prefix_sums_match_enumeration():
         assert lattice_prefix_sums(n) == (int(q[n - 1]), q_sum[n]), n
     with pytest.raises(ValueError):
         lattice_prefix_sums(0)
+
+
+def test_prefix_sums_match_bisection_oracle():
+    memo = {}
+
+    def shell_sums(bound):
+        if bound not in memo:
+            memo[bound] = _shell_sums(bound)
+        return memo[bound]
+
+    for n in range(1, 30_001):
+        assert lattice_prefix_sums(n) == reference_prefix_sums(n, shell_sums), n
+    # on and just past a full shell, at every scale: n = N(Q) and N(Q) + 1
+    full = {_shell_sums(int(bound))[0] for bound in np.geomspace(1, 2.5e8, 240)}
+    assert len(full) >= 200
+    for count in sorted(full):
+        for n in (count, count + 1):
+            assert lattice_prefix_sums(n) == reference_prefix_sums(n), n
+    # log-uniform up to the reproduce cap, so that every scale is sampled
+    rng = np.random.default_rng(13)
+    sizes = np.exp(rng.uniform(math.log(30_001), math.log(MAX_REPRODUCE_N), 300))
+    for n in [*sizes.astype(np.int64).tolist(), 10 ** 9]:
+        assert lattice_prefix_sums(n) == reference_prefix_sums(n), n
 
 
 def test_shell_sums_reject_bounds_beyond_int64_terms():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eigencond.optimizer as opt
-from conftest import (random_distinct_points, reference_optimize,
+from conftest import (random_distinct_points, reference_descend, reference_optimize,
                       reference_pair_distances, reference_polish,
                       reference_soft_eval)
 from eigencond.errors import NumericalError
@@ -245,6 +245,21 @@ class TestFastPathsMatchOracles:
     def test_optimize_any_seed(self, n, p, init, seed, max_iters):
         cfg = OptimizerConfig(n=n, p=p, init=init, seed=seed, max_iters=max_iters)
         assert same_result(optimize(cfg), reference_optimize(cfg))
+
+    def test_descent_shares_the_norm_of_each_state(self, monkeypatch):
+        # at p_true = p_smooth the hard objective reuses the p-norm the soft
+        # objective takes, so the descent calls modulus_p_norm not once
+        n = 12
+        betas, steps = opt._schedules(n)
+        z0 = opt._initial_points(OptimizerConfig(n=n, init="random", seed=5), 0)
+        z_ref, v_ref, trace_ref = reference_descend(z0, 2.0, 2.0, betas, steps, 40)
+
+        def forbidden(moduli, p):
+            raise AssertionError("the descent took a p-norm a second time")
+
+        monkeypatch.setattr(opt, "modulus_p_norm", forbidden)
+        z, v, trace = opt._descend(z0, 2.0, 2.0, betas, steps, 40)
+        assert same_bits(z, z_ref) and repr((v, trace)) == repr((v_ref, trace_ref))
 
     def test_polish_covers_top_moves_and_ties(self):
         events = np.zeros(3, dtype=int)
