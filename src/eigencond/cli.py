@@ -1,14 +1,15 @@
 """Command-line interface: one executable, subcommand per operation.
 
 Subcommands: lattice, cond, perturb, asymptotics, optimize, reproduce.
-All CSV output carries headers and uses shortest round-trip float formatting;
-every run emits a one-line JSON manifest on stderr (and optionally to a
-file).  Manifests and traces are strict JSON: a non-finite float is written
-as the string "inf", "-inf" or "nan".  Randomized subcommands take --seed,
-with the EIGENCOND_SEED environment variable as fallback; a fixed seed
-reproduces output bit for bit.
+All CSV output carries headers and uses shortest round-trip float formatting
+(_csv); every file goes through _write, and every run serializes one JSON
+manifest (_emit) to stderr and optionally to a file.  Manifests and traces
+are strict JSON: a non-finite float is written as the string "inf", "-inf"
+or "nan".  Randomized subcommands take --seed, with the EIGENCOND_SEED
+environment variable as fallback; a fixed seed reproduces output bit for bit.
 
-Exit codes: 0 success, 1 usage error, 2 numerical ill-posedness.
+Exit codes: 0 success, 1 usage error (an unwritable output path included),
+2 numerical ill-posedness.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,26 +72,6 @@ def _json_ready(value):
 def _to_json(value, **kwargs) -> str:
     """Strict JSON: non-finite floats are written as strings (_json_ready)."""
     return json.dumps(_json_ready(value), allow_nan=False, **kwargs)
-
-
-@dataclass
-class RunManifest:
-    """Record of one invocation; rerunning it reproduces the primary outputs.
-
-    environment is set by runs of the dense engine (cond on a matrix file,
-    perturb): blas_threads maps each OpenBLAS library to the thread count
-    the engine ran it at, null where the library exports no thread control.
-    """
-
-    subcommand: str
-    parameters: dict
-    seed: int | None
-    tool_version: str = __version__
-    output_paths: list = field(default_factory=list)
-    environment: dict | None = None
-
-    def to_json(self) -> str:
-        return _to_json(asdict(self), sort_keys=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -283,27 +263,49 @@ def _load_matrix_or_diag(ns) -> np.ndarray:
     return matrix
 
 
-def _emit(ns, manifest: RunManifest, text) -> None:
-    """Write the primary CSV (a string, or an iterable of text chunks) and the manifest."""
+def _write(path, chunks) -> None:
+    """Write text chunks to path; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row.  A float cell
+    (np.float64 included) is written by _fmt, any other cell by str."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(_fmt(cell) if isinstance(cell, float) else str(cell)
+                              for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+def _emit(ns, subcommand: str, parameters: dict, text, seed: int | None = None,
+          environment: dict | None = None) -> None:
+    """Write the primary CSV (a string, or an iterable of text chunks) and the
+    run manifest: one JSON line on stderr, and the same line in --manifest.
+
+    The manifest records one invocation; rerunning it reproduces the primary
+    outputs.  environment is set by runs of the dense engine (cond on a matrix
+    file, perturb): blas_threads maps each OpenBLAS library to the thread count
+    the engine ran it at, null where the library exports no thread control.
+    """
     chunks = [text] if isinstance(text, str) else text
     if ns.output:
-        with open(ns.output, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        _write(ns.output, chunks)
     else:
         sys.stdout.writelines(chunks)
-    print(manifest.to_json(), file=sys.stderr)
-    if ns.manifest:
-        with open(ns.manifest, "w", encoding="utf-8") as fh:
-            fh.write(manifest.to_json() + "\n")
-
-
-def _manifest(ns, subcommand: str, parameters: dict, seed: int | None,
-              environment: dict | None = None) -> RunManifest:
     outputs = [ns.output or "-"]
     if getattr(ns, "trace", None):
         outputs.append(ns.trace)
-    return RunManifest(subcommand=subcommand, parameters=parameters, seed=seed,
-                       output_paths=outputs, environment=environment)
+    manifest = _to_json({"subcommand": subcommand, "parameters": parameters, "seed": seed,
+                         "tool_version": __version__, "output_paths": outputs,
+                         "environment": environment}, sort_keys=True)
+    print(manifest, file=sys.stderr)
+    if ns.manifest:
+        _write(ns.manifest, [manifest, "\n"])
 
 
 def _lattice_csv(sites):
@@ -330,16 +332,7 @@ def _cmd_lattice(ns) -> None:
         _check_point_count(math.pi * ns.r * ns.r / CELL_AREA, "--r")
         sites = enumerate_lattice_in_disk(ns.r, closed=not ns.open_disk)
         params = {"r": ns.r, "closed": not ns.open_disk}
-    _emit(ns, _manifest(ns, "lattice", params, None), _lattice_csv(sites))
-
-
-def _condition_rows(report) -> list[str]:
-    lines = ["lambda_re,lambda_im,kappa_lambda,kappa_x"]
-    for row in report.per_eigenpair:
-        lines.append(f"{_fmt(row.eigenvalue.real)},{_fmt(row.eigenvalue.imag)},"
-                     f"{_fmt(row.kappa_lambda)},{_fmt(row.kappa_x)}")
-    lines.append(f"kappa_max,{_fmt(report.kappa_max_frob)},{_fmt(report.kappa_max_op)}")
-    return lines
+    _emit(ns, "lattice", params, _lattice_csv(sites))
 
 
 def _cmd_cond(ns) -> None:
@@ -352,8 +345,11 @@ def _cmd_cond(ns) -> None:
         report = condition_report(_load_matrix_or_diag(ns))
         params = {"matrix": ns.matrix}
         environment = {"blas_threads": pinned_blas_threads()}
-    _emit(ns, _manifest(ns, "cond", params, None, environment),
-          "\n".join(_condition_rows(report)) + "\n")
+    rows = [(row.eigenvalue.real, row.eigenvalue.imag, row.kappa_lambda, row.kappa_x)
+            for row in report.per_eigenpair]
+    rows.append(("kappa_max", report.kappa_max_frob, report.kappa_max_op))
+    _emit(ns, "cond", params, _csv("lambda_re,lambda_im,kappa_lambda,kappa_x", rows),
+          environment=environment)
 
 
 def _cmd_perturb(ns) -> None:
@@ -363,17 +359,15 @@ def _cmd_perturb(ns) -> None:
         raise UsageError("--eps must be positive and finite")
     result = perturbation_experiment(matrix, ns.eps, trials=ns.trials,
                                      norm_kind=ns.norm, seed=seed)
-    lines = ["lambda_re,lambda_im,kappa_lambda,kappa_x,shift_ratio,angle_ratio"]
-    for row in result.rows:
-        lines.append(f"{_fmt(row.eigenvalue.real)},{_fmt(row.eigenvalue.imag)},"
-                     f"{_fmt(row.kappa_lambda)},{_fmt(row.kappa_x)},"
-                     f"{_fmt(row.shift_ratio)},{_fmt(row.angle_ratio)}")
-    lines.append(f"excluded_trials,{result.excluded_trials}")
+    rows = [(row.eigenvalue.real, row.eigenvalue.imag, row.kappa_lambda, row.kappa_x,
+             row.shift_ratio, row.angle_ratio) for row in result.rows]
+    rows.append(("excluded_trials", result.excluded_trials))
     params = {"matrix": ns.matrix, "diag": ns.diag, "eps": ns.eps,
               "trials": ns.trials, "norm": ns.norm}
     environment = {"blas_threads": pinned_blas_threads()}
-    _emit(ns, _manifest(ns, "perturb", params, seed, environment),
-          "\n".join(lines) + "\n")
+    _emit(ns, "perturb", params,
+          _csv("lambda_re,lambda_im,kappa_lambda,kappa_x,shift_ratio,angle_ratio", rows),
+          seed, environment)
 
 
 def _cmd_asymptotics(ns) -> None:
@@ -397,13 +391,12 @@ def _cmd_asymptotics(ns) -> None:
         rows = convergence_study(ns.p, ns.n_list, generator)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    lines = ["n,raw,scale,ratio,target,margin"]
-    for row in rows:
-        lines.append(f"{row.n},{_fmt(row.raw)},{_fmt(row.scale)},{_fmt(row.ratio)},"
-                     f"{_fmt(row.target)},{_fmt(row.ratio / row.target)}")
     params = {"p": ns.p, "n_list": ns.n_list, "generator": ns.generator,
               "file": ns.file}
-    _emit(ns, _manifest(ns, "asymptotics", params, None), "\n".join(lines) + "\n")
+    _emit(ns, "asymptotics", params,
+          _csv("n,raw,scale,ratio,target,margin",
+               ((row.n, row.raw, row.scale, row.ratio, row.target, row.ratio / row.target)
+                for row in rows)))
 
 
 def _cmd_optimize(ns) -> None:
@@ -421,19 +414,16 @@ def _cmd_optimize(ns) -> None:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = optimize(cfg)
-    out = []
-    out.append("re,im")
-    for z in result.best.points:
-        out.append(f"{_fmt(z.real)},{_fmt(z.imag)}")
     if ns.trace:
-        with open(ns.trace, "w", encoding="utf-8") as fh:
-            for iteration, objective in result.trace:
-                fh.write(_to_json({"iteration": iteration, "objective": objective}) + "\n")
-            fh.write(_to_json({"event": "done", "objective": result.objective,
-                               "init_objective": result.init_objective}) + "\n")
+        records = [{"iteration": iteration, "objective": objective}
+                   for iteration, objective in result.trace]
+        records.append({"event": "done", "objective": result.objective,
+                        "init_objective": result.init_objective})
+        _write(ns.trace, (_to_json(record) + "\n" for record in records))
     params = {"n": ns.n, "p": ns.p, "restarts": ns.restarts, "init": ns.init,
               "file": ns.file, "max_iters": ns.max_iters}
-    _emit(ns, _manifest(ns, "optimize", params, seed), "\n".join(out) + "\n")
+    _emit(ns, "optimize", params,
+          _csv("re,im", ((z.real, z.imag) for z in result.best.points)), seed)
 
 
 def reproduce_rows(n: int) -> list[dict]:
@@ -461,12 +451,8 @@ def _cmd_reproduce(ns) -> None:
         raise UsageError("reproduce needs --n >= 100")
     _check_point_count(ns.n, "--n", MAX_REPRODUCE_N)
     rows = reproduce_rows(ns.n)
-    lines = ["norm,n,measured_ratio,target,rel_deviation"]
-    for row in rows:
-        lines.append(f"{row['norm']},{row['n']},{_fmt(row['measured_ratio'])},"
-                     f"{_fmt(row['target'])},{_fmt(row['rel_deviation'])}")
-    params = {"n": ns.n}
-    _emit(ns, _manifest(ns, "reproduce", params, None), "\n".join(lines) + "\n")
+    _emit(ns, "reproduce", {"n": ns.n},
+          _csv("norm,n,measured_ratio,target,rel_deviation", (row.values() for row in rows)))
 
 
 def main(argv=None) -> int:
@@ -477,10 +463,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (NumericalError, ValueError) as exc:
         # library-level precondition violations are mathematical, not usage
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

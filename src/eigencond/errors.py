@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: usage problems exit 1, numerical
-ill-posedness (clustered spectra, duplicate points, failed factorizations,
-results beyond the float range) exits 2.
+The CLI maps these onto exit codes: usage problems exit 1 (among them an
+output path that cannot be written, reported as `cannot write PATH: ...`);
+numerical ill-posedness (clustered spectra, duplicate points, failed
+factorizations, results beyond the float range) exits 2.
 
 Coincident points follow that rule in every subcommand that reads a
 configuration file, and none of them prints a result row:

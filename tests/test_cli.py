@@ -628,6 +628,44 @@ class TestManifest:
         assert json.loads(err.splitlines()[-1])["parameters"] == {"n": 2}
         assert run_cli(capsys, "lattice", "--n", "2", "--threads", "1")[0] == 1
 
+    def test_manifest_is_serialized_once(self, capsys, tmp_path, monkeypatch):
+        # stderr and --manifest carry the same string, serialized once
+        calls = []
+        to_json = eigencond.cli._to_json
+
+        def counted(value, **kwargs):
+            calls.append(value)
+            return to_json(value, **kwargs)
+
+        monkeypatch.setattr(eigencond.cli, "_to_json", counted)
+        man = tmp_path / "run.json"
+        code, _, err = run_cli(capsys, "reproduce", "--n", "1000", "--manifest", str(man))
+        assert code == 0 and len(calls) == 1
+        text = man.read_text()
+        assert text.endswith("\n") and err.splitlines()[-1] == text[:-1]
+        assert set(json.loads(text)) == {"subcommand", "parameters", "seed", "tool_version",
+                                         "output_paths", "environment"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce", "--n", "1000", "--output"), ("lattice", "--n", "10", "--output"),
+    ("reproduce", "--n", "1000", "--manifest"),
+    ("optimize", "--n", "5", "--max-iters", "3", "--trace"),
+], ids=["reproduce-output", "lattice-output", "manifest", "trace"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_path_exit_1(capsys, tmp_path, argv, target):
+    # a missing directory or a directory given as the path: exit 1 with a
+    # message, in process and cold, never a traceback
+    path = str(tmp_path / "missing" / "out") if target == "missing-directory" else str(tmp_path)
+    code, _, err = run_cli(capsys, *argv, path)
+    assert code == 1
+    assert err.splitlines()[-1].startswith(f"error: cannot write {path}: ")
+    env = dict(os.environ, PYTHONPATH=REPO_SRC)
+    result = subprocess.run([sys.executable, "-m", "eigencond", *argv, path],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 1 and "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == err.splitlines()[-1]
+
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
@@ -659,6 +697,19 @@ class TestStrictJson:
         lines = trace.read_text().splitlines()
         assert len(lines) > 2
         assert all(math.isfinite(strict_json(ln)["objective"]) for ln in lines)
+
+
+@pytest.mark.parametrize("cell, text", [
+    (0.1, "0.1"), (np.float64(0.1), "0.1"), (math.inf, "inf"), (-math.inf, "-inf"),
+    (np.float64(math.inf), "inf"), (math.nan, "nan"), (-0.0, "-0.0"),
+    (5e-324, "5e-324"), (1e16, "1e+16"), (np.float64(1e16), "1e+16"),
+    (2.0, "2.0"), (7, "7"), (-3, "-3"), ("kappa_max", "kappa_max"),
+])
+def test_csv_cells_keep_the_fstring_bytes(cell, text):
+    # floats (np.float64 included) as repr(float(x)), every other cell as str,
+    # which are the bytes of the per-command f-strings that _csv replaced
+    assert text == (repr(float(cell)) if isinstance(cell, float) else f"{cell}")
+    assert eigencond.cli._csv("a,b", [(cell, cell), ("x", cell)]) == f"a,b\n{text},{text}\nx,{text}\n"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
