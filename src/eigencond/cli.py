@@ -8,8 +8,12 @@ are strict JSON: a non-finite float is written as the string "inf", "-inf"
 or "nan".  Randomized subcommands take --seed, with the EIGENCOND_SEED
 environment variable as fallback; a fixed seed reproduces output bit for bit.
 
-Exit codes: 0 success, 1 usage error (an unwritable output path included),
-2 numerical ill-posedness.
+Only the numpy-free modules (errors, shells) are imported at the top; each
+handler imports the numeric modules it uses when it runs.  So --version,
+--help, usage errors and reproduce never import numpy.
+
+Exit codes: 0 success, 1 usage error (an unwritable output path included,
+and a stdout whose reader closed it early), 2 numerical ill-posedness.
 """
 
 from __future__ import annotations
@@ -22,18 +26,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .conditioning import (condition_report, condition_report_diagonal,
-                           perturbation_experiment)
 from .errors import DuplicatePointsError, NumericalError, UsageError
-from .extremal import (_growth_scale, convergence_study, lattice_prefix_functionals,
-                       proposition_constant)
-from .lattice import (CELL_AREA, Configuration, enumerate_lattice_in_disk,
-                      first_n_sites)
-from .linalg import pinned_blas_threads, read_matrix
-from .optimizer import OptimizerConfig, optimize
+from .shells import (CELL_AREA, _growth_scale, lattice_prefix_functionals,
+                     proposition_constant)
 
 SEED_ENV_VAR = "EIGENCOND_SEED"
 
@@ -44,7 +40,7 @@ MAX_POINTS = 4_000_000
 _CSV_CHUNK_ROWS = 16_384  # lattice CSV rows formatted at once (about 1 MB of text)
 
 # Largest reproduce --n.  reproduce builds no sites: lattice_prefix_sums
-# takes O(sqrt(n)) time and memory, about 5 ms at this cap.
+# takes O(sqrt(n)) time and memory in Python ints, about 30 ms at this cap.
 MAX_REPRODUCE_N = 10 ** 9
 
 # Largest optimize --n.  The descent holds several n x n arrays at once: its
@@ -79,6 +75,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # --help and --version print, then exit: a closed pipe fails here, in main
+        sys.stdout.flush()
+        super().exit(status, message)
 
 
 def _positive_int(text: str) -> int:
@@ -214,6 +215,8 @@ def read_configuration_csv(path) -> Configuration:
     Accepts both the two-column optimizer output and the six-column lattice
     output.
     """
+    from .lattice import Configuration
+
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -248,6 +251,10 @@ def _require_two_eigenvalues(n: int) -> None:
 
 
 def _load_matrix_or_diag(ns) -> np.ndarray:
+    import numpy as np
+
+    from .linalg import read_matrix
+
     if (ns.matrix is None) == (ns.diag is None):
         raise UsageError("provide exactly one of: a matrix file, or --diag CSV")
     if ns.matrix is not None:
@@ -297,6 +304,7 @@ def _emit(ns, subcommand: str, parameters: dict, text, seed: int | None = None,
         _write(ns.output, chunks)
     else:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe fails here, in main, not at exit
     outputs = [ns.output or "-"]
     if getattr(ns, "trace", None):
         outputs.append(ns.trace)
@@ -322,6 +330,8 @@ def _lattice_csv(sites):
 
 
 def _cmd_lattice(ns) -> None:
+    from .lattice import enumerate_lattice_in_disk, first_n_sites
+
     if ns.n is not None:
         _check_point_count(ns.n, "--n")
         sites = first_n_sites(ns.n)
@@ -336,6 +346,9 @@ def _cmd_lattice(ns) -> None:
 
 
 def _cmd_cond(ns) -> None:
+    from .conditioning import condition_report, condition_report_diagonal
+    from .linalg import pinned_blas_threads
+
     if ns.diag is not None and ns.matrix is None:
         config = read_configuration_csv(ns.diag)
         _require_two_eigenvalues(config.n)
@@ -353,6 +366,9 @@ def _cmd_cond(ns) -> None:
 
 
 def _cmd_perturb(ns) -> None:
+    from .conditioning import perturbation_experiment
+    from .linalg import pinned_blas_threads
+
     matrix = _load_matrix_or_diag(ns)
     seed = _resolve_seed(ns)
     if ns.eps <= 0.0 or not math.isfinite(ns.eps):
@@ -371,6 +387,9 @@ def _cmd_perturb(ns) -> None:
 
 
 def _cmd_asymptotics(ns) -> None:
+    from .extremal import convergence_study
+    from .lattice import Configuration
+
     if ns.generator == "file":
         if not ns.file:
             raise UsageError("--generator file requires --file")
@@ -400,6 +419,8 @@ def _cmd_asymptotics(ns) -> None:
 
 
 def _cmd_optimize(ns) -> None:
+    from .optimizer import OptimizerConfig, optimize
+
     _check_point_count(ns.n, "--n", MAX_OPTIMIZE_POINTS)
     seed = _resolve_seed(ns)
     init_points = None
@@ -460,6 +481,16 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         ns.func(ns)
+    except BrokenPipeError:
+        # the reader of stdout went away (`... | head -1`): the output cannot
+        # be written, which exits 1, with nothing on stderr.  The process's own
+        # stdout is pointed at os.devnull so that the flush at exit cannot fail
+        # again; an in-process caller's redirected stdout keeps its descriptor.
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,6 +23,10 @@ Fewer than two points is bad input, so every subcommand raises UsageError
 (exit 1) for it before computing anything: `cond` and `perturb` on a 1x1
 matrix file or a one-point `--diag` CSV, `asymptotics --n-list 1` and
 `optimize --n 1`.
+
+A stdout whose reader has gone away (`eigencond lattice --n 100000 | head -1`)
+is an output that cannot be written, too: the CLI catches the BrokenPipeError
+and exits 1 with nothing on stderr, neither a manifest nor a traceback.
 """
 
 

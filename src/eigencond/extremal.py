@@ -5,6 +5,9 @@ minimum pairwise gap.  S_2 and S_inf coincide with the Frobenius- and
 operator-norm eigenvector conditioning of the diagonal matrix built from the
 points, and for the triangular-lattice prefix they grow like
 c_p * n^(1/2 + 1/p) with c_p = (2/(p+2))^(1/p) * 3^(1/4) / sqrt(2*pi).
+c_p (proposition_constant), the growth scale and the prefix's exact S_2 and
+S_inf (lattice_prefix_functionals) are defined in the numpy-free shells
+module and imported here.
 """
 
 from __future__ import annotations
@@ -16,14 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .lattice import Configuration, first_n_lattice_points, lattice_prefix_sums
-
-
-def _validate_p(p) -> float:
-    p = float(p)
-    if math.isnan(p) or p <= 0.0:
-        raise ValueError(f"p must be positive (math.inf allowed), got {p!r}")
-    return p
+from .lattice import Configuration, first_n_lattice_points
+from .shells import (_growth_scale, _validate_p, lattice_prefix_functionals,
+                     proposition_constant)
 
 
 def _power_terms(moduli: np.ndarray, p: float):
@@ -64,46 +62,6 @@ def separation_functional(c: Configuration, p) -> float:
     if gap == 0.0:
         return math.inf
     return modulus_p_norm(np.abs(c.points), p) / gap
-
-
-def lattice_prefix_functionals(n: int) -> tuple[float, float]:
-    """S_2 and S_inf of the first n lattice sites, from exact shell sums.
-
-    The prefix's minimum gap is exactly 1, so S_2 = sqrt(sum q) and
-    S_inf = sqrt(q_max); each exact integer is rounded to a float once.  No
-    site is enumerated (lattice_prefix_sums).
-    """
-    if int(n) < 2:
-        raise ValueError("the separation functional needs at least two points")
-    q_max, q_sum = lattice_prefix_sums(n)
-    return math.sqrt(float(q_sum)), math.sqrt(float(q_max))
-
-
-def proposition_constant(p) -> float:
-    """Leading-order coefficient c_p of the minimal separation functional.
-
-    c_p = (2/(p+2))^(1/p) * 3^(1/4)/sqrt(2*pi); the limit p -> inf is
-    3^(1/4)/sqrt(2*pi), and c_2 = 3^(1/4)/(2*sqrt(pi)).
-    """
-    p = _validate_p(p)
-    base = 3.0 ** 0.25 / math.sqrt(2.0 * math.pi)
-    if math.isinf(p):
-        return base
-    return (2.0 / (p + 2.0)) ** (1.0 / p) * base
-
-
-def _growth_scale(n: int, p: float) -> float:
-    """n^(1/2 + 1/p), the growth of min S_p.
-
-    At p = inf it is math.sqrt(n), correctly rounded; n ** 0.5 is 1 ulp off
-    at some n (2921 is the first above 100).
-    """
-    if math.isinf(p):
-        return math.sqrt(float(n))
-    try:
-        return float(n) ** (0.5 + 1.0 / p)
-    except OverflowError:
-        raise NumericalError(f"n^(1/2 + 1/p) overflows at n = {n}, p = {p!r}") from None
 
 
 @dataclass(frozen=True)

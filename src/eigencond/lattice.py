@@ -7,13 +7,13 @@ which makes enumeration reproducible bit for bit: points are sorted by
 modulus, ties broken by argument in [0, 2*pi).
 
 A radius maps to an integer bound Q in one place (_radius_bound), and one
-integer row table decides the disk q <= Q (_disk_rows): with t = 2a + b,
-4q = t^2 + 3b^2, so row b holds the t of b's parity with t^2 <= 4Q - 3b^2.
-Enumeration expands each row into its consecutive a (_sites_within); counts
-and sums of q need no site, as each row's are closed forms (_shell_sums).
-The first n sites end in the shell q = q_max; lattice_prefix_sums finds it in
-one pass over the sites between two disks that bracket it, and first_n_sites
-enumerates the disk q <= q_max only.
+integer row table decides the disk q <= Q (shells._disk_rows): with
+t = 2a + b, 4q = t^2 + 3b^2, so row b holds the t of b's parity with
+t^2 <= 4Q - 3b^2.  Enumeration expands each row into its consecutive a
+(_sites_within); counts and sums of q need no site and no numpy, and live in
+the shells module (_shell_sums, lattice_prefix_sums), whose names are
+imported here.  first_n_sites takes the last shell q_max of the prefix from
+lattice_prefix_sums and enumerates the disk q <= q_max only.
 """
 
 from __future__ import annotations
@@ -23,23 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ROW_HEIGHT = math.sqrt(3.0) / 2.0  # generator columns are (1, 0) and (1/2, sqrt(3)/2)
-CELL_AREA = ROW_HEIGHT             # determinant of the generator matrix
+from .shells import (_CELL_RADIUS, _MAX_SHELL_BOUND, CELL_AREA,  # noqa: F401
+                     _disk_rows, _shell_sums, lattice_prefix_sums)
+
+ROW_HEIGHT = CELL_AREA  # sqrt(3)/2: generator columns are (1, 0) and (1/2, sqrt(3)/2)
 
 # A closed disk of radius r admits |z| <= r*(1 + slack): lattice moduli are
 # irrational except on a sparse set, but radii like r=1 hit points exactly
 # and must not be lost to rounding.
 _BOUNDARY_SLACK = 8.0 * np.finfo(float).eps
-
-# Largest bound Q that the row table accepts.  Every _shell_sums row term
-# stays below 2^61 in int64 there (about 8 Q^1.5); the disk holds ~3.1e11 sites.
-_MAX_SHELL_BOUND = 2 ** 38
-
-# Circumradius of a lattice site's hexagonal Voronoi cell (area CELL_AREA).
-# The cells of the sites with q <= Q lie in the disk of radius
-# sqrt(Q) + _CELL_RADIUS and cover the disk of radius sqrt(Q) - _CELL_RADIUS,
-# which brackets the count N(Q) between the two disk areas over CELL_AREA.
-_CELL_RADIUS = 1.0 / math.sqrt(3.0)
 
 # Up to this many points the full distance matrix (at most 64k entries) is
 # faster than a k-d tree, and it spares importing scipy.spatial, which adds
@@ -207,23 +199,9 @@ def _radius_bound(r, closed: bool) -> int:
     return math.floor(limit) if closed else math.ceil(limit) - 1
 
 
-def _disk_rows(bound: int) -> np.ndarray:
-    """Row table of the disk q <= bound: entry b >= 0 is the largest |t| of
-    b's parity with t^2 <= 4 bound - 3b^2, so rows b and -b each hold the
-    T + 1 sites t = -T, -T + 2, ..., T.  Empty for a negative bound."""
-    if bound > _MAX_SHELL_BOUND:  # int64 row terms could overflow
-        raise ValueError(f"shell bound {bound} exceeds {_MAX_SHELL_BOUND}")
-    b = np.arange(math.isqrt(4 * bound // 3) + 1 if bound >= 0 else 0, dtype=np.int64)
-    # isqrt(x): x < 2^41 is exact in a float and its correctly rounded root
-    # lies within 2^-31 of sqrt(x), while a non-square's root is at least
-    # 2^-22 below the next integer, so truncation cannot round up
-    t = np.sqrt((4 * bound - 3 * b * b).astype(float)).astype(np.int64)
-    return t - ((t - b) & 1)
-
-
 def _sites_within(bound: int) -> LatticeSites:
     """Every site with q <= bound, in enumeration order (enumerate_lattice_in_disk)."""
-    half = _disk_rows(bound)
+    half = np.array(_disk_rows(bound), dtype=np.int64)
     rows = np.arange(1 - half.size, half.size, dtype=np.int64)
     t = half[np.abs(rows)]
     count = t + 1
@@ -251,65 +229,6 @@ def enumerate_lattice_in_disk(r, closed: bool = True) -> LatticeSites:
     by at least 1/r, far above the rounding of the computed angles.
     """
     return _sites_within(_radius_bound(r, closed))
-
-
-def _shell_sums(bound: int) -> tuple[int, int]:
-    """Exact (count, sum of q) over the lattice sites with q <= bound.
-
-    O(sqrt(bound)) time and memory: the totals of each row of _disk_rows are
-    closed forms, row b > 0 counted twice (for itself and for row -b).
-    """
-    t = _disk_rows(int(bound))
-    b = np.arange(t.size, dtype=np.int64)
-    count = t + 1
-    # 4q = t^2 + 3b^2, and t^2 summed over t = -T, -T + 2, ..., T is T(T + 1)(T + 2)/3
-    four_q = t * (t + 1) * (t + 2) // 3 + 3 * b * b * count
-    count[1:] *= 2
-    four_q[1:] *= 2
-    return int(count.sum()), sum(four_q.tolist()) // 4
-
-
-def lattice_prefix_sums(n: int) -> tuple[int, int]:
-    """(q_max, sum of q) over the first n lattice sites, as exact ints.
-
-    q_max is the smallest Q with N(Q) >= n, where N(Q) counts the sites with
-    q <= Q; the sites beyond the last full shell all have q = q_max, so both
-    depend only on n.  The Voronoi-cell bracket (_CELL_RADIUS), widened by one
-    for rounding, gives N(lo) < n <= N(hi).  _shell_sums(lo) counts and sums
-    the disk q <= lo; the about 4.4 sqrt(n) sites with lo < q <= hi are listed
-    from the two row tables and counted per shell, which locates q_max and
-    sums q below it in the same pass.  No site of the prefix is enumerated:
-    O(sqrt(n)) time and memory.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    s = math.sqrt(n * CELL_AREA / math.pi)
-    lo = math.floor((s - _CELL_RADIUS) ** 2) - 1 if s > _CELL_RADIUS else -1
-    hi = math.ceil((s + _CELL_RADIUS) ** 2) + 1
-    inside, q_sum = _shell_sums(lo)
-    # rows b >= 0 of the annulus lo < q <= hi hold t = start, start + 2, ..., top
-    # with t >= 0; a row the disk q <= lo misses starts at t = 0 or 1
-    top = _disk_rows(hi)
-    b = np.arange(top.size, dtype=np.int64)
-    start = b & 1
-    below = _disk_rows(lo)
-    start[:below.size] = below + 2
-    count = (top - start) // 2 + 1
-    first = np.cumsum(count) - count
-    bb = np.repeat(b, count)
-    t = 2 * np.arange(bb.size, dtype=np.int64) + np.repeat(start - 2 * first, count)
-    # each site stands for its mirror images at -t and at -b
-    weight = (1 + (t > 0)) * (1 + (bb > 0))
-    shells = np.bincount((t * t + 3 * bb * bb) // 4 - (lo + 1), weights=weight,
-                         minlength=hi - lo).astype(np.int64)
-    k = int(np.searchsorted(np.cumsum(shells), n - inside))
-    q_max = lo + 1 + k
-    # the annulus holds about 8.4 sqrt(hi) sites, so its sum of q stays below
-    # 8.4 hi^1.5 < 2^61 in int64 for hi <= _MAX_SHELL_BOUND
-    inside += int(shells[:k].sum())
-    q_sum += int(shells[:k] @ np.arange(lo + 1, q_max, dtype=np.int64))
-    return q_max, q_sum + (n - inside) * q_max
 
 
 def lattice_count(r) -> int:

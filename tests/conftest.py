@@ -89,17 +89,70 @@ def four_key_lattice_sites(r, closed=True):
     return a[order], b[order]
 
 
-def reference_prefix_sums(n, shell_sums=None):
-    """Oracle of lattice.lattice_prefix_sums: q_max, the smallest Q with
-    N(Q) >= n, by bisection on the Voronoi-cell bracket, and the sum of q
-    from the shell sums below q_max.  shell_sums(Q) gives (N(Q), sum of q
-    over q <= Q); lattice._shell_sums by default."""
-    from eigencond.lattice import _CELL_RADIUS, CELL_AREA, _shell_sums
+# Oracles of the shell arithmetic in eigencond.shells: the numpy row table,
+# shell sums and annulus pass that it replaced, in int64, and the bisection
+# that came before the annulus pass.
 
-    shell_sums = shell_sums or _shell_sums
+def reference_disk_rows(bound):
+    """Oracle of shells._disk_rows as an int64 array, by a float square root:
+    x < 2^41 is exact in a float and its correctly rounded root lies within
+    2^-31 of sqrt(x), while a non-square's root is at least 2^-22 below the
+    next integer, so truncation cannot round up."""
+    b = np.arange(math.isqrt(4 * bound // 3) + 1 if bound >= 0 else 0, dtype=np.int64)
+    t = np.sqrt((4 * bound - 3 * b * b).astype(float)).astype(np.int64)
+    return t - ((t - b) & 1)
+
+
+def reference_shell_sums(bound):
+    """Oracle of shells._shell_sums: the closed-form row totals in int64."""
+    t = reference_disk_rows(int(bound))
+    b = np.arange(t.size, dtype=np.int64)
+    count = t + 1
+    four_q = t * (t + 1) * (t + 2) // 3 + 3 * b * b * count
+    count[1:] *= 2
+    four_q[1:] *= 2
+    return int(count.sum()), sum(four_q.tolist()) // 4
+
+
+def _prefix_bracket(n):
+    from eigencond.shells import _CELL_RADIUS, CELL_AREA
+
     s = math.sqrt(n * CELL_AREA / math.pi)
     lo = math.floor((s - _CELL_RADIUS) ** 2) - 1 if s > _CELL_RADIUS else -1
-    hi = math.ceil((s + _CELL_RADIUS) ** 2) + 1
+    return lo, math.ceil((s + _CELL_RADIUS) ** 2) + 1
+
+
+def reference_annulus_prefix_sums(n):
+    """Oracle of shells.lattice_prefix_sums: the same bracket and annulus
+    pass over numpy int64 arrays, binned with np.bincount."""
+    lo, hi = _prefix_bracket(n)
+    inside, q_sum = reference_shell_sums(lo)
+    top = reference_disk_rows(hi)
+    b = np.arange(top.size, dtype=np.int64)
+    start = b & 1
+    below = reference_disk_rows(lo)
+    start[:below.size] = below + 2
+    count = (top - start) // 2 + 1
+    first = np.cumsum(count) - count
+    bb = np.repeat(b, count)
+    t = 2 * np.arange(bb.size, dtype=np.int64) + np.repeat(start - 2 * first, count)
+    weight = (1 + (t > 0)) * (1 + (bb > 0))
+    shells = np.bincount((t * t + 3 * bb * bb) // 4 - (lo + 1), weights=weight,
+                         minlength=hi - lo).astype(np.int64)
+    k = int(np.searchsorted(np.cumsum(shells), n - inside))
+    q_max = lo + 1 + k
+    inside += int(shells[:k].sum())
+    q_sum += int(shells[:k] @ np.arange(lo + 1, q_max, dtype=np.int64))
+    return q_max, q_sum + (n - inside) * q_max
+
+
+def reference_prefix_sums(n, shell_sums=None):
+    """Oracle of shells.lattice_prefix_sums: q_max, the smallest Q with
+    N(Q) >= n, by bisection on the Voronoi-cell bracket, and the sum of q
+    from the shell sums below q_max.  shell_sums(Q) gives (N(Q), sum of q
+    over q <= Q); reference_shell_sums by default."""
+    shell_sums = shell_sums or reference_shell_sums
+    lo, hi = _prefix_bracket(n)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if shell_sums(mid)[0] >= n:

@@ -1,10 +1,12 @@
 """The public surface: exported names, fixed tolerances, optimizer inputs."""
 
 import dataclasses
+import importlib
 import inspect
 
 import eigencond
 import eigencond.cli
+import eigencond.optimizer
 from eigencond.optimizer import OptimizerConfig
 
 PUBLIC_NAMES = [
@@ -47,9 +49,23 @@ def test_optimizer_config_holds_only_cli_inputs(monkeypatch, capsys, tmp_path):
         seen.update(kwargs)
         return OptimizerConfig(**kwargs)
 
-    monkeypatch.setattr(eigencond.cli, "OptimizerConfig", recording)
+    monkeypatch.setattr(eigencond.optimizer, "OptimizerConfig", recording)
     out = tmp_path / "out.csv"
     assert eigencond.cli.main(["optimize", "--n", "3", "--max-iters", "1",
                                "--output", str(out)]) == 0
     capsys.readouterr()
     assert set(seen) == {f.name for f in dataclasses.fields(OptimizerConfig)}
+
+
+def test_star_import_gives_the_defining_modules_objects():
+    # the exports load lazily; each is the object its defining module holds
+    namespace = {}
+    exec("from eigencond import *", namespace)
+    exported = {name: namespace[name] for name in PUBLIC_NAMES}
+    assert len(exported) == 40
+    for name, obj in exported.items():
+        assert obj.__name__ == name
+        assert obj is getattr(importlib.import_module(obj.__module__), name), name
+        assert getattr(eigencond, name) is obj
+    assert set(PUBLIC_NAMES) <= set(dir(eigencond))
+    assert not hasattr(eigencond, "no_such_name")

@@ -16,6 +16,8 @@ import eigencond.cli
 import eigencond.conditioning
 import eigencond.extremal
 import eigencond.lattice
+import eigencond.optimizer
+import eigencond.shells
 from eigencond.cli import (MAX_OPTIMIZE_POINTS, MAX_POINTS, MAX_REPRODUCE_N, main,
                            read_configuration_csv, reproduce_rows)
 from eigencond.conditioning import condition_report_diagonal
@@ -344,7 +346,7 @@ class TestOptimizeCommand:
         def never(cfg):
             raise AssertionError("optimize ran past the size guard")
 
-        monkeypatch.setattr(eigencond.cli, "optimize", never)
+        monkeypatch.setattr(eigencond.optimizer, "optimize", never)
         code, out, err = run_cli(capsys, "optimize", "--n", str(MAX_OPTIMIZE_POINTS + 1))
         assert code == 1 and out == ""
         assert f"limit is {MAX_OPTIMIZE_POINTS}" in err
@@ -418,7 +420,8 @@ class TestReproduceCommand:
         def forbidden(bound):
             raise AssertionError("reproduce summed shells above its cap")
 
-        monkeypatch.setattr(eigencond.lattice, "_shell_sums", forbidden)
+        for name in ("_shell_sums", "_disk_rows"):
+            monkeypatch.setattr(eigencond.shells, name, forbidden)
         code, out, err = run_cli(capsys, "reproduce", "--n", str(MAX_REPRODUCE_N + 1))
         assert code == 1 and out == "" and f"limit is {MAX_REPRODUCE_N}" in err
         with pytest.raises(SystemExit):
@@ -499,6 +502,104 @@ class TestDeferredImports:
         code, out, _ = run_cli(capsys, "cond", path)
         assert code == 0 and result.stdout == out
         assert len(out.splitlines()) == 5
+
+    # runs `python -m eigencond ARGS` and records in the file FLAG whether
+    # numpy was imported by the time the process ends
+    MODULE_RUN = textwrap.dedent("""
+        import runpy, sys
+        flag = sys.argv.pop(1)
+        try:
+            runpy.run_module("eigencond", run_name="__main__", alter_sys=True)
+        finally:
+            with open(flag, "w") as fh:
+                fh.write(str("numpy" in sys.modules))
+        """)
+
+    @pytest.mark.parametrize("argv, stdout, stderr, code", [
+        (["--version"], "eigencond 0.1.0\n", "", 0),
+        (["--help"], None, "", 0),
+        (["lattice", "--n", "5", "--bogus"], "", "error: unrecognized arguments: --bogus\n", 1),
+        (["reproduce", "--n", "10000"],
+         "norm,n,measured_ratio,target,rel_deviation\n"
+         "frobenius,10000,0.37125566662342,0.37125762464284556,5.274018082253521e-06\n"
+         "operator,10000,0.5250714237130031,0.525037567904332,6.448264036845176e-05\n",
+         None, 0),
+    ], ids=["version", "help", "bad-flag", "reproduce"])
+    def test_startup_without_arrays_does_not_load_numpy(self, capsys, tmp_path, argv, stdout,
+                                                        stderr, code):
+        flag = tmp_path / "numpy-loaded"
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        result = subprocess.run([sys.executable, "-c", self.MODULE_RUN, str(flag), *argv],
+                                capture_output=True, text=True, env=env)
+        assert flag.read_text() == "False"
+        plain = subprocess.run([sys.executable, "-m", "eigencond", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (result.stdout, result.stderr, result.returncode) == (
+            plain.stdout, plain.stderr, plain.returncode)
+        assert result.returncode == code
+        if stdout is None:  # --help: the in-process parser's text
+            with pytest.raises(SystemExit):
+                main(argv)
+            stdout = capsys.readouterr().out
+        assert result.stdout == stdout
+        if stderr is None:  # reproduce: its manifest, as an in-process run writes it
+            stderr = run_cli(capsys, *argv)[2]
+        assert result.stderr == stderr
+
+    def test_cold_cond_on_a_matrix_file_loads_numpy(self, capsys, tmp_path):
+        path = str(tmp_path / "g3.mat")
+        write_matrix(path, np.diag([0.0, 1.0, 2.0j]))
+        flag = tmp_path / "numpy-loaded"
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        result = subprocess.run([sys.executable, "-c", self.MODULE_RUN, str(flag), "cond", path],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert flag.read_text() == "True"
+        assert result.stdout == run_cli(capsys, "cond", path)[1]
+
+
+@pytest.mark.parametrize("argv, reader", [
+    (["lattice", "--n", "100000"], "one-line"),
+    (["reproduce", "--n", "10000"], "closed"),
+    (["--help"], "closed"),
+], ids=["lattice-one-line", "reproduce-closed", "help-closed"])
+def test_closed_stdout_exits_1_without_a_traceback(argv, reader):
+    # `eigencond ... | head -1`: the reader closes stdout after one line, or
+    # before the first write; the CLI exits 1 and writes nothing on stderr,
+    # with stdout buffered (no PYTHONUNBUFFERED) as by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = REPO_SRC
+    cmd = [sys.executable, "-m", "eigencond", *argv]
+    if reader == "one-line":
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"index,a,b,re,im,modulus\n"
+        proc.stdout.close()
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_closed_stdout_in_process_keeps_the_callers_descriptors(monkeypatch):
+    class ClosedPipe:
+        def writelines(self, chunks):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["reproduce", "--n", "1000"]) == 1
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 class TestRepeatedRuns:
@@ -763,9 +864,11 @@ def test_fewer_than_two_points_exit_1(capsys, tmp_path, monkeypatch, args):
     def forbidden(*unused, **kwargs):
         raise AssertionError("a report ran on fewer than two points")
 
-    for name in ("condition_report", "condition_report_diagonal",
-                 "perturbation_experiment", "optimize"):
-        monkeypatch.setattr(eigencond.cli, name, forbidden)
+    for module, name in ((eigencond.conditioning, "condition_report"),
+                         (eigencond.conditioning, "condition_report_diagonal"),
+                         (eigencond.conditioning, "perturbation_experiment"),
+                         (eigencond.optimizer, "optimize")):
+        monkeypatch.setattr(module, name, forbidden)
     argv = [arg.format(csv=one_csv, mat=one_mat) for arg in args]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
