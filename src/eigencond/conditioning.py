@@ -23,13 +23,14 @@ import numpy as np
 
 from .errors import ClusteredSpectrumError, DuplicatePointsError
 from .extremal import modulus_p_norm, separation_functional
-from .lattice import (Configuration, nearest_neighbor_distances,
+from .lattice import (Configuration, nearest_neighbor_distances, pair_distances,
                       pairwise_min_separation)
 from .linalg import (EIG_GAP_TOL, EIG_RESIDUAL_TOL, as_matrix, frobenius_norm,
                      locate_eigenpair, one_blas_thread, operator_norm, pow2_scale,
                      prescale, schur, schur_eigenpair, verified_residuals)
 
 OVERLAP_TOL = 1e-14        # |y^H x| below this reports kappa_lambda = +inf
+_LISTED_PAIRS = 10         # close pairs named by a clustered spectrum's error
 
 # Matching tolerance for the perturbation experiment: two perturbed
 # eigenvalues within this fraction of the unperturbed gap of each other are
@@ -106,18 +107,21 @@ def kappa_x(a, lam) -> float:
 
 
 def _require_simple_spectrum(lams: np.ndarray, anorm: float, s: int) -> None:
-    """Raise ClusteredSpectrumError listing every pair closer than EIG_GAP_TOL*anorm.
+    """Raise ClusteredSpectrumError on pairs closer than EIG_GAP_TOL*anorm.
 
-    lams and anorm belong to A * 2^s; the message reports values of A.
+    The error lists the first _LISTED_PAIRS in spectrum order, and the total
+    count of pairs when there are more.  lams and anorm belong to A * 2^s;
+    the message reports values of A.
     """
     threshold = EIG_GAP_TOL * anorm
     if nearest_neighbor_distances(lams).min() <= threshold:
-        close = np.abs(lams[:, None] - lams[None, :]) <= threshold
+        close = np.argwhere(np.triu(pair_distances(lams)[1] <= threshold, 1))
         values = pow2_scale(lams, -s)
         clustered = [(complex(values[i]), complex(values[j]))
-                     for i, j in np.argwhere(np.triu(close, 1))]
+                     for i, j in close[:_LISTED_PAIRS]]
+        more = f", {len(close)} pairs in all" if len(close) > _LISTED_PAIRS else ""
         raise ClusteredSpectrumError(
-            f"spectrum is clustered below {pow2_scale(threshold, -s):.3e}: {clustered}",
+            f"spectrum is clustered below {pow2_scale(threshold, -s):.3e}: {clustered}{more}",
             cluster=[c for pair in clustered for c in pair])
 
 

@@ -78,6 +78,15 @@ class LatticeSites:
         return LatticeSites(self.a[:n], self.b[:n], self.z[:n])
 
 
+def pair_distances(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs of the points z: dz[i, j] = z_i - z_j and d = |dz|, with
+    d = inf on the diagonal so that a minimum runs over distinct pairs."""
+    dz = z[:, None] - z[None, :]
+    d = np.abs(dz)
+    d.flat[::z.size + 1] = np.inf
+    return dz, d
+
+
 def nearest_neighbor_distances(points) -> np.ndarray:
     """Distance from each point to its nearest other point.
 
@@ -94,9 +103,7 @@ def nearest_neighbor_distances(points) -> np.ndarray:
         raise ValueError("nearest-neighbor distances need finite points")
     if n > _MATRIX_MAX:
         return _kd_tree_nearest(z)
-    d = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
+    return pair_distances(z)[1].min(axis=1)
 
 
 def _kd_tree_nearest(z: np.ndarray) -> np.ndarray:

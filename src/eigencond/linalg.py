@@ -391,8 +391,8 @@ def write_matrix(path, a) -> None:
 def read_matrix(path) -> np.ndarray:
     """Read the matrix text format written by write_matrix."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
+        stripped = [ln.strip() for ln in fh]
+    lines = [ln for ln in stripped if ln]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     try:
@@ -404,9 +404,11 @@ def read_matrix(path) -> np.ndarray:
     if len(lines) - 1 != n * n:
         raise ValueError(f"{path}: expected {n * n} entry lines, found {len(lines) - 1}")
     out = np.empty(n * n, dtype=np.complex128)
-    for k, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {k + 2}: expected 're im'")
-        out[k] = complex(float(parts[0]), float(parts[1]))
+    try:
+        for k, ln in enumerate(lines[1:]):
+            re, im = ln.split()
+            out[k] = complex(float(re), float(im))
+    except ValueError as exc:
+        lineno = [i for i, ln in enumerate(stripped, 1) if ln][k + 1]  # blanks count
+        raise ValueError(f"{path}: line {lineno}: expected 're im'") from exc
     return as_matrix(out.reshape(n, n), square=True)

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError
 from .extremal import (_norm_from_sum, _power_terms, _validate_p, modulus_p_norm,
                        separation_functional)
-from .lattice import Configuration, first_n_lattice_points
+from .lattice import Configuration, first_n_lattice_points, pair_distances
 
 BASE_BETAS = (10.0, 30.0, 100.0, 300.0)  # scaled by n
 BASE_STEPS = (0.1, 0.05, 0.02, 0.01)
@@ -93,55 +94,47 @@ class OptimizerResult:
     init_objective: float
 
 
-def _pair_distances(z: np.ndarray):
-    dz = z[:, None] - z[None, :]
-    d = np.abs(dz)
-    d.flat[::z.size + 1] = np.inf
-    return dz, d
+class _State(NamedTuple):
+    """What the optimizer reads off points z, built once by _state(z, p)."""
+
+    z: np.ndarray
+    dz: np.ndarray  # pair_distances(z): the differences z_i - z_j
+    d: np.ndarray  # and the distances, inf on the diagonal
+    moduli: np.ndarray
+    dmin: float  # the minimum gap
+    num: float | None  # the p-norm of the moduli; None when dmin = 0
+    u: np.ndarray | None  # moduli / max moduli; None at p = inf or dmin = 0
+    scale: float | None  # turns u^(p - 1) into the p-norm's gradient; as u
 
 
-def _hard_value(d: np.ndarray, moduli: np.ndarray, p: float) -> float:
-    """Hard objective of points with pair distances d and moduli."""
-    gap = float(d.min())
-    if gap == 0.0:
-        return math.inf
-    return modulus_p_norm(moduli, p) / gap
-
-
-def _rescale_gauge(z: np.ndarray) -> np.ndarray:
-    """Normalize the hard minimum gap to 1 (no-op on coincident points)."""
-    _, d = _pair_distances(z)
-    gap = float(d.min())
-    return z if gap == 0.0 else z / gap
-
-
-def _state_terms(d: np.ndarray, moduli: np.ndarray, p: float):
-    """(dmin, num, u, scale) of a state: its minimum gap, the p-norm num of
-    its moduli, u = moduli / max moduli, and the factor that turns
-    u^(p - 1) into the p-norm's gradient.  u and scale are None at p = inf,
-    and all but dmin are None when points coincide (dmin = 0)."""
+def _state(z: np.ndarray, p: float) -> _State:
+    """The _State of z for the p-norm of its moduli."""
+    dz, d = pair_distances(z)
+    moduli = np.abs(z)
     dmin = float(d.min())
     if dmin == 0.0:
-        return dmin, None, None, None
+        return _State(z, dz, d, moduli, dmin, None, None, None)
     top = float(moduli.max())
     if math.isinf(p):
-        return dmin, top, None, None
+        return _State(z, dz, d, moduli, dmin, top, None, None)
     u = moduli / top
     power_sum = np.sum(u ** p)
     num = _norm_from_sum(top, power_sum, p)
-    return dmin, num, u, num / (top * float(power_sum))
+    return _State(z, dz, d, moduli, dmin, num, u, num / (top * float(power_sum)))
 
 
-def _soft_eval(z: np.ndarray, p: float, beta: float, with_grad: bool,
-               pairs, moduli, terms=None):
+def _gauged(z: np.ndarray) -> np.ndarray:
+    """z scaled to hard minimum gap 1 (z itself when points coincide)."""
+    gap = float(pair_distances(z)[1].min())
+    return z if gap == 0.0 else z / gap
+
+
+def _soft_eval(st: _State, p: float, beta: float, with_grad: bool):
     """Soft objective, the soft gap, and the gradient or, without it, the hard gap.
 
-    pairs is _pair_distances(z), moduli is np.abs(z) and terms is
-    _state_terms(pairs[1], moduli, p), built here when omitted; the caller
-    builds them, so one build can serve several evaluations.
+    st is _state(z, p); one state serves every evaluation at z.
     """
-    dz, d = pairs
-    dmin, num, u, scale = _state_terms(d, moduli, p) if terms is None else terms
+    z, dz, d, moduli, dmin, num, u, scale = st
     if dmin == 0.0:
         raise NumericalError("coincident points: the soft gap is not defined")
     # max-exponent subtraction: entries of d - dmin are >= 0 (diag stays inf)
@@ -188,8 +181,7 @@ def soft_separation_functional(c: Configuration, p, beta) -> float:
         raise ValueError("beta must be positive")
     if c.n < 2:
         raise ValueError("need at least two points")
-    z = np.array(c.points)
-    return _soft_eval(z, p, beta, False, _pair_distances(z), np.abs(z))[0]
+    return _soft_eval(_state(np.array(c.points), p), p, beta, False)[0]
 
 
 def gradient(c: Configuration, p, beta) -> np.ndarray:
@@ -206,69 +198,59 @@ def gradient(c: Configuration, p, beta) -> np.ndarray:
         raise ValueError("beta must be positive")
     if c.n < 2:
         raise ValueError("need at least two points")
-    z = np.array(c.points)
-    return _soft_eval(z, p, beta, True, _pair_distances(z), np.abs(z))[2]
+    return _soft_eval(_state(np.array(c.points), p), p, beta, True)[2]
 
 
 def _descend(z0: np.ndarray, p_smooth: float, p_true: float,
              betas, steps, max_iters: int):
     """Continuation descent; tracks the best hard objective ever visited.
 
-    The pair distances, moduli, minimum gap and p_smooth-norm of each
-    accepted configuration are built once and serve both its hard objective
-    and every gradient taken there.  An iteration that accepts no step keeps
-    the configuration and its hard objective.
+    The _State of each accepted configuration is built once and serves both
+    its hard objective and every gradient taken there.  An iteration that
+    accepts no step keeps the configuration and its hard objective.
     """
 
-    def settle(z):
-        pairs, moduli = _pair_distances(z), np.abs(z)
-        terms = _state_terms(pairs[1], moduli, p_smooth)
-        dmin, num = terms[:2]
-        if dmin == 0.0:
-            val = math.inf
-        elif p_true == p_smooth:
-            val = num / dmin
-        else:
-            val = modulus_p_norm(moduli, p_true) / dmin
-        return pairs, moduli, terms, val
+    def hard(st):
+        if st.dmin == 0.0:
+            return math.inf
+        num = st.num if p_true == p_smooth else modulus_p_norm(st.moduli, p_true)
+        return num / st.dmin
 
-    z = _rescale_gauge(z0)
-    pairs, moduli, terms, val = settle(z)
-    best_z, best_val = z.copy(), val
+    st = _state(_gauged(z0), p_smooth)
+    val = hard(st)
+    best_z, best_val = st.z.copy(), val
     trace = [(0, val)]
     it = 0
     for beta, step0 in zip(betas, steps):
         step = step0
         for _ in range(max_iters):
             it += 1
-            f, _, g = _soft_eval(z, p_smooth, beta, True, pairs, moduli, terms)
+            f, _, g = _soft_eval(st, p_smooth, beta, True)
             gmax = float(np.abs(g).max())
             if not math.isfinite(gmax) or gmax == 0.0:
                 break
             accepted = False
             s = step
             for _ in range(_BACKTRACK_LIMIT):
-                cand = z - s * g
-                cand_pairs = _pair_distances(cand)
+                cand = st.z - s * g
                 try:
-                    fc, soft_c, gap_c = _soft_eval(cand, p_smooth, beta, False,
-                                                   cand_pairs, np.abs(cand))
+                    cand_st = _state(cand, p_smooth)
+                    fc, soft_c, gap_c = _soft_eval(cand_st, p_smooth, beta, False)
                 except NumericalError:
                     fc, soft_c = math.inf, -1.0
+                cand_st = None  # freed before any new state is built, as st is below
                 if soft_c > 0.0 and fc < f:
-                    z = cand / gap_c  # _rescale_gauge(cand)
-                    # free both old pair sets before building the new one
-                    pairs = cand_pairs = None
-                    pairs, moduli, terms, val = settle(z)
+                    st = None
+                    st = _state(cand / gap_c, p_smooth)  # _gauged(cand)
+                    val = hard(st)
                     step = min(s * 1.5, 4.0 * step0)
                     accepted = True
                     break
-                cand_pairs = None  # freed before the next candidate's build
                 s *= 0.5
             trace.append((it, val))
             if val < best_val:
                 best_val = val
-                best_z = z.copy()
+                best_z = st.z.copy()
             if not accepted:
                 break
     return best_z, best_val, trace
@@ -289,10 +271,11 @@ def _polish(z0: np.ndarray, p_true: float):
     move after it visits the same states as trying the moves one by one.
     Every acceptance is decided by the same scalar expression as a lone move.
     """
-    z = _rescale_gauge(z0.copy())
+    st = _state(_gauged(z0.copy()), p_true)
+    z, d, moduli = st.z, st.d, st.moduli  # updated in place by accepted moves
+    val = math.inf if st.dmin == 0.0 else st.num / st.dmin
+    del st  # frees its pair differences
     n = z.size
-    _, d = _pair_distances(z)
-    moduli = np.abs(z)
 
     def excluded_gaps():
         """excl[k]: minimum gap over the pairs without point k."""
@@ -310,7 +293,6 @@ def _polish(z0: np.ndarray, p_true: float):
         return excl
 
     excl = excluded_gaps()
-    val = _hard_value(d, moduli, p_true)
     top, terms = _power_terms(moduli, p_true)
     point = np.repeat(np.arange(n), 4)  # move m shifts point m // 4
     slot = np.arange(_POLISH_WINDOW)
@@ -374,7 +356,13 @@ def _polish(z0: np.ndarray, p_true: float):
     return z, val
 
 
-def _initial_points(cfg: OptimizerConfig, restart: int) -> np.ndarray:
+def _initial_points(cfg: OptimizerConfig, restart: int, base=None) -> np.ndarray:
+    """The points a restart starts from.
+
+    A random start draws them from the stream (seed, restart).  Lattice and
+    file starts read base, the run's nominal start: restart 0 is base itself,
+    and a later restart jitters it from its own stream.
+    """
     rng = np.random.default_rng((cfg.seed, restart))
     if cfg.init == "random":
         # density-matched to the lattice: n points uniform in a disk whose
@@ -383,10 +371,6 @@ def _initial_points(cfg: OptimizerConfig, restart: int) -> np.ndarray:
         rad = radius * np.sqrt(rng.uniform(size=cfg.n))
         ang = rng.uniform(0.0, 2.0 * math.pi, size=cfg.n)
         return rad * np.exp(1j * ang)
-    if cfg.init == "lattice":
-        base = np.array(first_n_lattice_points(cfg.n).points)
-    else:
-        base = np.array(cfg.init_points, dtype=np.complex128)
     if restart == 0:
         return base
     jitter = 0.1 * (rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n))
@@ -398,8 +382,8 @@ def optimize(cfg: OptimizerConfig) -> OptimizerResult:
 
     Restarts use independently derived seeds; the winner is chosen by
     (objective, restart index) so any execution order gives the same result.
-    The returned objective can never exceed the objective of the nominal
-    (restart-0) initial configuration.
+    Restart 0 starts from the nominal start, which is built once per run.
+    The returned objective can never exceed the nominal start's objective.
     """
     p_true = float(cfg.p)
     p_smooth = _SURROGATE_P_FOR_INF if math.isinf(p_true) else p_true
@@ -407,12 +391,13 @@ def optimize(cfg: OptimizerConfig) -> OptimizerResult:
     if cfg.init == "lattice":
         init_config = first_n_lattice_points(cfg.n)
     else:
-        init_config = Configuration(_initial_points(cfg, 0))
+        init_config = Configuration(_initial_points(cfg, 0, cfg.init_points))
+    base = init_config.points
     init_objective = separation_functional(init_config, p_true)
     # the start competes as candidate -1 so no run can return anything worse
     candidates = [(init_objective, -1, init_config, [(0, init_objective)])]
     for restart in range(cfg.restarts):
-        z0 = _initial_points(cfg, restart)
+        z0 = base if restart == 0 else _initial_points(cfg, restart, base)
         best_z, best_val, trace = _descend(z0, p_smooth, p_true, betas, steps,
                                            cfg.max_iters)
         polished_z, polished_val = _polish(best_z, p_true)

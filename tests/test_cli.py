@@ -827,6 +827,31 @@ def test_nonfinite_configuration_csv_exit_1(capsys, tmp_path, bad):
         assert "line 4" in err and "not finite" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty configuration file"),
+    ("x,y\n1.0,0.0\n2.0,0.0\n", "header must contain 're' and 'im' columns"),
+    ("re,im\n\n0.0,0.0\n\n1.0,oops\n", "line 5: malformed point row"),
+    ("re,im\n0.0\n", "line 2: malformed point row"),
+    ("re,im\n\n \n", "no points"),
+], ids=["empty", "no-re-im", "bad-value", "short-row", "header-only"])
+def test_configuration_csv_errors_exit_1(capsys, tmp_path, text, message):
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "cond", "--diag", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_clustered_identity_error_is_bounded(capsys, tmp_path):
+    # 300 equal eigenvalues make 44 850 close pairs; the message names ten
+    path = tmp_path / "id.mat"
+    write_matrix(path, np.eye(300, dtype=complex))
+    code, out, err = run_cli(capsys, "cond", str(path))
+    assert code == 2 and out == ""
+    assert err.count("((1+0j), (1+0j))") == 10
+    assert err.endswith("], 44850 pairs in all\n") and len(err) < 400
+
+
 def test_duplicate_points_exit_2(capsys, tmp_path):
     path = str(tmp_path / "dup.csv")
     Path(path).write_text("re,im\n0,0\n1,0\n1,0\n2,0\n")

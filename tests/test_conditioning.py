@@ -14,10 +14,11 @@ from conftest import (random_distinct_points, random_unitary,
 from eigencond.conditioning import (condition_report, condition_report_diagonal,
                                     kappa_lambda, kappa_x,
                                     perturbation_experiment)
-from eigencond.errors import ClusteredSpectrumError, DuplicatePointsError
+from eigencond.cli import main
+from eigencond.errors import ClusteredSpectrumError, DuplicatePointsError, NumericalError
 from eigencond.lattice import Configuration, first_n_lattice_points
 from eigencond.linalg import (locate_eigenpair, right_eigenvector,
-                              right_left_eigenpair)
+                              right_left_eigenpair, write_matrix)
 
 EPS = float(np.finfo(float).eps)
 
@@ -183,6 +184,38 @@ class TestConditionReport:
             condition_report(np.diag([3.0, 0.0, 3.0, 0.0, 1.0]).astype(complex))
         assert info.value.cluster == (0j, 0j, 3 + 0j, 3 + 0j)
         assert str(info.value).endswith("[(0j, 0j), ((3+0j), (3+0j))]")
+
+    @pytest.mark.parametrize("copies, pairs", [(5, 10), (6, 15)])
+    def test_clustered_listing_is_bounded(self, copies, pairs):
+        # equal eigenvalues 0 and distinct ones 1, 2: at most ten pairs are
+        # listed, and the total count is added only when some are left out
+        a = np.diag([0.0] * copies + [1.0, 2.0]).astype(complex)
+        with pytest.raises(ClusteredSpectrumError) as info:
+            condition_report(a)
+        listed = min(pairs, 10)
+        assert info.value.cluster == (0j,) * (2 * listed)
+        tail = "" if pairs <= 10 else f", {pairs} pairs in all"
+        assert str(info.value).endswith("[" + ", ".join(["(0j, 0j)"] * listed) + "]" + tail)
+
+    def test_failed_residual_check_raises(self, monkeypatch, capsys, tmp_path):
+        # an eigenvector that is not one fails verification: the report
+        # raises NumericalError rather than returning, and cond exits 2
+        engine = eigencond.conditioning.schur_eigenpair
+
+        def corrupted(form, k):
+            pair = engine(form, k)
+            return pair._replace(x=np.roll(pair.x, 1))
+
+        monkeypatch.setattr(eigencond.conditioning, "schur_eigenpair", corrupted)
+        a = dense_matrix("ginibre", 6, 2)
+        with pytest.raises(NumericalError, match="right eigenvector residual"):
+            condition_report(a)
+        path = tmp_path / "a.mat"
+        write_matrix(path, a)
+        assert main(["cond", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: right eigenvector residual")
 
     def test_zeroing_offdiagonal_never_helps_the_full_matrix(self):
         # an upper-triangular matrix cannot beat its own diagonal: dropping
@@ -424,6 +457,32 @@ class TestPerturbationExperiment:
         r1 = perturbation_experiment(a, 1e-6, trials=10, seed=5)
         r2 = perturbation_experiment(a, 1e-6, trials=10, seed=5)
         assert r1.rows == r2.rows
+
+    def test_excluded_trials_do_not_count(self, monkeypatch):
+        # a trial whose matching fails is counted and leaves the row maxima
+        # alone: they equal the maxima over the remaining trials, each taken
+        # from a run that keeps that trial only
+        a = dense_matrix("ginibre", 5, 4)
+        trials = 6
+        match = eigencond.conditioning._match_eigenvalues
+
+        def run(kept):
+            calls = []
+
+            def chosen(lams, w, min_gap):
+                calls.append(None)
+                return match(lams, w, min_gap) if len(calls) - 1 in kept else None
+
+            monkeypatch.setattr(eigencond.conditioning, "_match_eigenvalues", chosen)
+            result = perturbation_experiment(a, 1e-8, trials=trials, seed=3)
+            assert len(calls) == trials and result.excluded_trials == trials - len(kept)
+            return np.array([(r.shift_ratio, r.angle_ratio) for r in result.rows])
+
+        single = [run({t}) for t in range(trials)]
+        kept = {0, 2, 3}
+        assert np.array_equal(run(kept), np.maximum.reduce([single[t] for t in kept]))
+        assert not np.array_equal(run(kept), run(set(range(trials))))
+        assert not run(set()).any()
 
     def test_bad_arguments(self):
         a = np.diag([0.0, 1.0]).astype(complex)

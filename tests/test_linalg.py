@@ -256,6 +256,15 @@ class TestMatrixFile:
         with pytest.raises(ValueError):
             read_matrix(path)
 
+    @pytest.mark.parametrize("entry", ["3 0 7", "3", "3 x"])
+    def test_errors_name_the_file_line(self, tmp_path, entry):
+        # blank lines are skipped but still counted: the bad entry is line 6
+        path = tmp_path / "blank.mat"
+        path.write_text(f"2\n\n1 0\n\n0 0\n{entry}\n1 1\n")
+        with pytest.raises(ValueError) as info:
+            read_matrix(path)
+        assert str(info.value) == f"{path}: line 6: expected 're im'"
+
 
 def test_as_matrix_validation():
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import eigencond.optimizer as opt
 from conftest import (random_distinct_points, reference_descend, reference_optimize,
                       reference_pair_distances, reference_polish,
-                      reference_soft_eval)
+                      reference_rescale_gauge, reference_soft_eval)
 from eigencond.errors import NumericalError
 from eigencond.extremal import (modulus_p_norm, proposition_constant,
                                 separation_functional)
@@ -65,6 +65,25 @@ class TestSoftFunctional:
             softmin = numerator / soft_separation_functional(c, 2.0, beta)
             assert softmin <= hard + 1e-12
             assert hard - softmin <= math.log(pairs) / beta + 1e-12
+
+    def test_infinite_p_is_max_modulus_over_soft_gap(self):
+        # the only caller of _state's p = inf branch: max |z| / softmin.  The
+        # lattice prefix ties its minimum gap on many pairs, so the value
+        # falls to S_inf like log(pairs) / beta
+        c = first_n_lattice_points(12)
+        z = c.points
+        d = np.abs(z[:, None] - z[None, :])[np.triu_indices(z.size, 1)]
+        top, hard = float(np.abs(z).max()), float(d.min())
+        s_inf = separation_functional(c, INF)
+        previous = INF
+        for beta in (10.0, 100.0, 1e3, 1e4, 1e6):
+            softmin = hard - math.log(np.sum(np.exp(-beta * (d - hard)))) / beta
+            value = soft_separation_functional(c, INF, beta)
+            assert value == pytest.approx(top / softmin, rel=1e-13)
+            assert s_inf < value < previous
+            assert value <= top / (hard - math.log(d.size) / beta)
+            previous = value
+        assert value == pytest.approx(s_inf, rel=1e-5)
 
     def test_coincident_points_raise(self):
         with pytest.raises(NumericalError):
@@ -222,7 +241,8 @@ def polish_starts():
     cases = [("tied", TIED_TOP, p) for p in P_VALUES]
     for n, init in ((5, "random"), (12, "random"), (12, "lattice"), (30, "lattice")):
         cfg = OptimizerConfig(n=n, init=init, seed=n)
-        z0 = opt._initial_points(cfg, 0 if init == "random" else 1)
+        z0 = opt._initial_points(cfg, 0 if init == "random" else 1,
+                                 first_n_lattice_points(n).points)
         cases += [(f"{init}{n}", z0, p) for p in (0.5, 2.0, 64.0, INF)]
     return cases
 
@@ -292,16 +312,24 @@ class TestFastPathsMatchOracles:
         if n == 6:
             z[0] = 0.0  # a zero modulus takes the masked numerator gradient
         for beta in (3.0, 30.0 * n, 3000.0 * n):
-            pairs, moduli = opt._pair_distances(z), np.abs(z)
+            st = opt._state(z, p)
             ref_pairs = reference_pair_distances(z)
-            assert same_bits(pairs[1], ref_pairs[1])
-            f, soft, grad = opt._soft_eval(z, p, beta, True, pairs, moduli)
-            f_ref, soft_ref, grad_ref = reference_soft_eval(z, p, beta, True, ref_pairs, moduli)
+            assert same_bits(st.d, ref_pairs[1])
+            f, soft, grad = opt._soft_eval(st, p, beta, True)
+            f_ref, soft_ref, grad_ref = reference_soft_eval(z, p, beta, True, ref_pairs,
+                                                            np.abs(z))
             assert repr((f, soft)) == repr((f_ref, soft_ref))
             assert same_bits(grad, grad_ref)
-            f, soft, gap = opt._soft_eval(z, p, beta, False, pairs, moduli)
+            f, soft, gap = opt._soft_eval(st, p, beta, False)
             assert repr((f, soft)) == repr((f_ref, soft_ref))
             assert repr(gap) == repr(float(ref_pairs[1].min()))
+
+    def test_gauge_matches_oracle(self):
+        rng = np.random.default_rng(300)
+        z = random_distinct_points(rng, 300, min_gap=0.01) * 3.7
+        assert same_bits(opt._gauged(z), reference_rescale_gauge(z))
+        coincident = np.array([1.0 + 2.0j, 0.5j, 1.0 + 2.0j])
+        assert opt._gauged(coincident) is coincident
 
     def test_descent_peak_memory(self):
         # the soft objective's n x n temporaries: 65 n^2 bytes at the peak
