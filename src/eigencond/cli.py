@@ -12,8 +12,12 @@ Only the numpy-free modules (errors, shells) are imported at the top; each
 handler imports the numeric modules it uses when it runs.  So --version,
 --help, usage errors and reproduce never import numpy.
 
-Exit codes: 0 success, 1 usage error (an unwritable output path included,
-and a stdout whose reader closed it early), 2 numerical ill-posedness.
+Exit codes: 0 success, 1 bad input, 2 numerical ill-posedness.  Each input
+is checked once: the library raises UsageError (exit 1) for an argument
+outside its domain, and the CLI checks only what the library cannot know:
+how flags relate (--open needs --r, --file needs --generator file or --init
+file), the size limits, and the files it reads and writes.  An unwritable
+output path and a stdout whose reader closed it early exit 1 too.
 """
 
 from __future__ import annotations
@@ -244,12 +248,6 @@ def read_configuration_csv(path) -> Configuration:
     return Configuration(points)
 
 
-def _require_two_eigenvalues(n: int) -> None:
-    """cond and perturb need a second eigenvalue: n < 2 is bad input (exit 1)."""
-    if n < 2:
-        raise UsageError("condition reports need n >= 2")
-
-
 def _load_matrix_or_diag(ns) -> np.ndarray:
     import numpy as np
 
@@ -257,17 +255,12 @@ def _load_matrix_or_diag(ns) -> np.ndarray:
 
     if (ns.matrix is None) == (ns.diag is None):
         raise UsageError("provide exactly one of: a matrix file, or --diag CSV")
-    if ns.matrix is not None:
-        try:
-            matrix = read_matrix(ns.matrix)
-        except OSError as exc:
-            raise UsageError(f"cannot read matrix file {ns.matrix}: {exc}") from exc
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    else:
-        matrix = np.diag(read_configuration_csv(ns.diag).points)
-    _require_two_eigenvalues(matrix.shape[0])
-    return matrix
+    if ns.matrix is None:
+        return np.diag(read_configuration_csv(ns.diag).points)
+    try:
+        return read_matrix(ns.matrix)
+    except OSError as exc:
+        raise UsageError(f"cannot read matrix file {ns.matrix}: {exc}") from exc
 
 
 def _write(path, chunks) -> None:
@@ -333,12 +326,12 @@ def _cmd_lattice(ns) -> None:
     from .lattice import enumerate_lattice_in_disk, first_n_sites
 
     if ns.n is not None:
+        if ns.open_disk:
+            raise UsageError("--open requires --r")
         _check_point_count(ns.n, "--n")
         sites = first_n_sites(ns.n)
         params = {"n": ns.n}
     else:
-        if not math.isfinite(ns.r) or ns.r < 0.0:
-            raise UsageError("--r must be finite and nonnegative")
         _check_point_count(math.pi * ns.r * ns.r / CELL_AREA, "--r")
         sites = enumerate_lattice_in_disk(ns.r, closed=not ns.open_disk)
         params = {"r": ns.r, "closed": not ns.open_disk}
@@ -350,9 +343,7 @@ def _cmd_cond(ns) -> None:
     from .linalg import pinned_blas_threads
 
     if ns.diag is not None and ns.matrix is None:
-        config = read_configuration_csv(ns.diag)
-        _require_two_eigenvalues(config.n)
-        report = condition_report_diagonal(config)
+        report = condition_report_diagonal(read_configuration_csv(ns.diag))
         params, environment = {"diag": ns.diag}, None
     else:
         report = condition_report(_load_matrix_or_diag(ns))
@@ -371,8 +362,6 @@ def _cmd_perturb(ns) -> None:
 
     matrix = _load_matrix_or_diag(ns)
     seed = _resolve_seed(ns)
-    if ns.eps <= 0.0 or not math.isfinite(ns.eps):
-        raise UsageError("--eps must be positive and finite")
     result = perturbation_experiment(matrix, ns.eps, trials=ns.trials,
                                      norm_kind=ns.norm, seed=seed)
     rows = [(row.eigenvalue.real, row.eigenvalue.imag, row.kappa_lambda, row.kappa_x,
@@ -390,6 +379,8 @@ def _cmd_asymptotics(ns) -> None:
     from .extremal import convergence_study
     from .lattice import Configuration
 
+    if ns.file and ns.generator != "file":
+        raise UsageError("--file requires --generator file")
     if ns.generator == "file":
         if not ns.file:
             raise UsageError("--generator file requires --file")
@@ -406,10 +397,7 @@ def _cmd_asymptotics(ns) -> None:
     else:
         _check_point_count(max(ns.n_list), "--n-list")
         generator = None
-    try:
-        rows = convergence_study(ns.p, ns.n_list, generator)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    rows = convergence_study(ns.p, ns.n_list, generator)
     params = {"p": ns.p, "n_list": ns.n_list, "generator": ns.generator,
               "file": ns.file}
     _emit(ns, "asymptotics", params,
@@ -421,6 +409,8 @@ def _cmd_asymptotics(ns) -> None:
 def _cmd_optimize(ns) -> None:
     from .optimizer import OptimizerConfig, optimize
 
+    if ns.file and ns.init != "file":
+        raise UsageError("--file requires --init file")
     _check_point_count(ns.n, "--n", MAX_OPTIMIZE_POINTS)
     seed = _resolve_seed(ns)
     init_points = None
@@ -428,12 +418,8 @@ def _cmd_optimize(ns) -> None:
         if not ns.file:
             raise UsageError("--init file requires --file")
         init_points = tuple(read_configuration_csv(ns.file).points)
-    try:
-        cfg = OptimizerConfig(n=ns.n, p=ns.p, restarts=ns.restarts,
-                              max_iters=ns.max_iters, seed=seed, init=ns.init,
-                              init_points=init_points)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = OptimizerConfig(n=ns.n, p=ns.p, restarts=ns.restarts, max_iters=ns.max_iters,
+                          seed=seed, init=ns.init, init_points=init_points)
     result = optimize(cfg)
     if ns.trace:
         records = [{"iteration": iteration, "objective": objective}
@@ -456,7 +442,7 @@ def reproduce_rows(n: int) -> list[dict]:
     enumerated, and are normalized by their growth scales n and sqrt(n).
     """
     if n < 100:
-        raise ValueError("reproduce needs n >= 100 (asymptotic regime)")
+        raise UsageError("reproduce needs n >= 100 (asymptotic regime)")
     s_2, s_inf = lattice_prefix_functionals(n)
     rows = []
     for label, p, value in (("frobenius", 2.0, s_2), ("operator", math.inf, s_inf)):
@@ -468,8 +454,6 @@ def reproduce_rows(n: int) -> list[dict]:
 
 
 def _cmd_reproduce(ns) -> None:
-    if ns.n < 100:
-        raise UsageError("reproduce needs --n >= 100")
     _check_point_count(ns.n, "--n", MAX_REPRODUCE_N)
     rows = reproduce_rows(ns.n)
     _emit(ns, "reproduce", {"n": ns.n},
@@ -495,7 +479,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, ValueError) as exc:
-        # library-level precondition violations are mathematical, not usage
+        # bad input raised UsageError above; any other ValueError (an epsilon
+        # too large for perturb's matching, numpy's LinAlgError) is ill-posed
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteredSpectrumError, DuplicatePointsError
-from .extremal import modulus_p_norm, separation_functional
+from .errors import ClusteredSpectrumError, DuplicatePointsError, UsageError
+from .extremal import modulus_p_norm
 from .lattice import (Configuration, nearest_neighbor_distances, pair_distances,
                       pairwise_min_separation)
 from .linalg import (EIG_GAP_TOL, EIG_RESIDUAL_TOL, as_matrix, frobenius_norm,
@@ -101,7 +101,7 @@ def kappa_x(a, lam) -> float:
     """Eigenvector condition number for lam; +inf when lam is repeated."""
     m = as_matrix(a, square=True)
     if m.shape[0] == 1:
-        raise ValueError("kappa_x is undefined for 1x1 matrices: no deflated block")
+        raise UsageError("kappa_x is undefined for 1x1 matrices: no deflated block")
     pair, s = locate_eigenpair(m, lam)
     return _kappa_x(pair.sigma_min, s)
 
@@ -137,7 +137,7 @@ def condition_report(a) -> ConditionReport:
     """
     m = as_matrix(a, square=True)
     if m.shape[0] < 2:
-        raise ValueError("condition reports need n >= 2")
+        raise UsageError("condition reports need n >= 2")
     ms, s = prescale(m)
     form = schur(ms)
     eigs = form.eigenvalues
@@ -176,7 +176,7 @@ def condition_report_diagonal(c: Configuration) -> ConditionReport:
     """
     pts = c.points
     if c.n < 2:
-        raise ValueError("condition reports need n >= 2")
+        raise UsageError("condition reports need n >= 2")
     nnd = c.nearest_neighbor_distances()
     gap = c.min_separation
     if gap == 0.0 or float(nnd.min()) == 0.0:
@@ -187,11 +187,10 @@ def condition_report_diagonal(c: Configuration) -> ConditionReport:
                             kappa_x=k, residuals=(0.0, 0.0))
             for z, k in zip(pts[order].tolist(), kx)]
     moduli = np.abs(pts)
-    return ConditionReport(per_eigenpair=rows,
-                           kappa_max_frob=separation_functional(c, 2.0),
-                           kappa_max_op=separation_functional(c, math.inf),
-                           norm_frob=modulus_p_norm(moduli, 2.0),
-                           norm_op=float(moduli.max()))
+    norm_frob = modulus_p_norm(moduli, 2.0)
+    norm_op = float(moduli.max())
+    return ConditionReport(per_eigenpair=rows, kappa_max_frob=norm_frob / gap,
+                           kappa_max_op=norm_op / gap, norm_frob=norm_frob, norm_op=norm_op)
 
 
 @dataclass(frozen=True)
@@ -250,13 +249,13 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
     Requires eps <= min_gap / (10*||A||) so the matching is unambiguous.
     """
     if norm_kind not in ("frob", "op"):
-        raise ValueError(f"norm_kind must be 'frob' or 'op', got {norm_kind!r}")
+        raise UsageError(f"norm_kind must be 'frob' or 'op', got {norm_kind!r}")
     epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise UsageError("epsilon must be positive and finite")
     trials = int(trials)
     if trials < 1:
-        raise ValueError("at least one trial is required")
+        raise UsageError("at least one trial is required")
     m = as_matrix(a, square=True)
     base = condition_report(m)
     n = m.shape[0]

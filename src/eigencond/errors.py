@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: usage problems exit 1 (among them an
-output path that cannot be written, reported as `cannot write PATH: ...`);
-numerical ill-posedness (clustered spectra, duplicate points, failed
+The CLI maps these onto exit codes: bad input (UsageError) exits 1, among
+it an output path that cannot be written, reported as `cannot write PATH:
+...`; numerical ill-posedness (clustered spectra, duplicate points, failed
 factorizations, results beyond the float range) exits 2.
 
 Coincident points follow that rule in every subcommand that reads a
@@ -19,10 +19,15 @@ configuration file, and none of them prints a result row:
 The library function `extremal.separation_functional` does not raise: it
 returns +inf for coincident points, the value the optimizer compares against.
 
-Fewer than two points is bad input, so every subcommand raises UsageError
-(exit 1) for it before computing anything: `cond` and `perturb` on a 1x1
-matrix file or a one-point `--diag` CSV, `asymptotics --n-list 1` and
-`optimize --n 1`.
+Bad input is detected once, where it is used: each library function checks
+its own arguments and raises UsageError, a ValueError, so callers that catch
+ValueError keep working.  The CLI checks only what the library cannot know:
+how its flags relate, its size limits and the files it reads.  Any other
+ValueError exits 2: an epsilon too large for perturbation_experiment to
+match eigenvalues unambiguously, and numpy's LinAlgError.  Fewer than two
+points is bad input, rejected on the first lines of the functions that need
+two, before computing anything: `cond` and `perturb` on a 1x1 matrix file
+or a one-point `--diag` CSV, `asymptotics --n-list 1` and `optimize --n 1`.
 
 A stdout whose reader has gone away (`eigencond lattice --n 100000 | head -1`)
 is an output that cannot be written, too: the CLI catches the BrokenPipeError
@@ -30,8 +35,9 @@ and exits 1 with nothing on stderr, neither a manifest nor a traceback.
 """
 
 
-class UsageError(Exception):
-    """Bad command line, unreadable input file, or malformed file content."""
+class UsageError(ValueError):
+    """Bad input: an argument outside its domain, a bad command line, an
+    unreadable file or malformed file content."""
 
 
 class NumericalError(Exception):

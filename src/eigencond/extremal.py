@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, UsageError
 from .lattice import Configuration, first_n_lattice_points
 from .shells import (_growth_scale, _validate_p, lattice_prefix_functionals,
                      proposition_constant)
@@ -57,7 +57,7 @@ def separation_functional(c: Configuration, p) -> float:
     """
     p = _validate_p(p)
     if c.n < 2:
-        raise ValueError("the separation functional needs at least two points")
+        raise UsageError("the separation functional needs at least two points")
     gap = c.min_separation
     if gap == 0.0:
         return math.inf
@@ -86,9 +86,9 @@ def convergence_study(p, n_values: Sequence[int],
     p = _validate_p(p)
     ns = [int(v) for v in n_values]
     if not ns:
-        raise ValueError("n_values must be nonempty")
+        raise UsageError("n_values must be nonempty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_values must be strictly increasing")
+        raise UsageError("n_values must be strictly increasing")
     gen = first_n_lattice_points if generator is None else generator
     target = proposition_constant(p)
     rows = []

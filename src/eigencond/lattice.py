@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .shells import (_CELL_RADIUS, _MAX_SHELL_BOUND, CELL_AREA,  # noqa: F401
                      _disk_rows, _shell_sums, lattice_prefix_sums)
 
@@ -98,9 +99,9 @@ def nearest_neighbor_distances(points) -> np.ndarray:
     z = np.asarray(points, dtype=np.complex128).ravel()
     n = z.size
     if n < 2:
-        raise ValueError("nearest-neighbor distances need at least two points")
+        raise UsageError("nearest-neighbor distances need at least two points")
     if not np.all(np.isfinite(z)):
-        raise ValueError("nearest-neighbor distances need finite points")
+        raise UsageError("nearest-neighbor distances need finite points")
     if n > _MATRIX_MAX:
         return _kd_tree_nearest(z)
     return pair_distances(z)[1].min(axis=1)
@@ -143,22 +144,22 @@ class Configuration:
     """Immutable finite multiset of complex points with a cached minimum separation.
 
     The cache is computed on first access from nearest_neighbor_distances;
-    constructors that know the separation analytically (the lattice prefix, a
-    translation) may pass it in.  Values are safe to share across threads.
+    constructors that know the separation analytically (the lattice prefix)
+    may pass it in.  Values are safe to share across threads.
     """
 
     def __init__(self, points, min_separation: float | None = None):
         pts = np.array(points, dtype=np.complex128).ravel()
         if pts.size == 0:
-            raise ValueError("a configuration needs at least one point")
+            raise UsageError("a configuration needs at least one point")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("configuration points must be finite")
+            raise UsageError("configuration points must be finite")
         pts.setflags(write=False)
         self._points = pts
         if min_separation is not None:
             min_separation = float(min_separation)
             if not (math.isfinite(min_separation) and min_separation >= 0.0):
-                raise ValueError("min_separation must be finite and nonnegative")
+                raise UsageError("min_separation must be finite and nonnegative")
         self._min_sep = min_separation
 
     @property
@@ -177,7 +178,7 @@ class Configuration:
         """Minimum pairwise distance; defined only for n >= 2."""
         if self._min_sep is None:
             if self.n < 2:
-                raise ValueError("min_separation is undefined for a single point")
+                raise UsageError("min_separation is undefined for a single point")
             self._min_sep = pairwise_min_separation(self._points)
         return self._min_sep
 
@@ -198,11 +199,11 @@ def _radius_bound(r, closed: bool) -> int:
     or ceil(limit) - 1 for the strict limit.  Rejects Q > _MAX_SHELL_BOUND."""
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
-        raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
+        raise UsageError(f"radius must be finite and nonnegative, got {r!r}")
     with np.errstate(over="ignore"):
         limit = (r * (1.0 + _BOUNDARY_SLACK)) ** 2 if closed else r * r
     if limit > _MAX_SHELL_BOUND:
-        raise ValueError(f"radius {r!r} is too large: q bound above {_MAX_SHELL_BOUND}")
+        raise UsageError(f"radius {r!r} is too large: q bound above {_MAX_SHELL_BOUND}")
     return math.floor(limit) if closed else math.ceil(limit) - 1
 
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ClusteredSpectrumError, NumericalError
+from .errors import ClusteredSpectrumError, NumericalError, UsageError
 
 EIG_RESIDUAL_TOL = 1e-8   # * ||A||_F: residual to accept lambda as an eigenvalue
 EIG_GAP_TOL = 1e-8        # * ||A||_F: eigenvalues closer than this are clustered
@@ -132,11 +132,11 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     """Validate and convert to a dense complex matrix with finite entries."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or min(m.shape) < 1:
-        raise ValueError(f"expected a 2-d matrix with positive dimensions, got shape {m.shape}")
+        raise UsageError(f"expected a 2-d matrix with positive dimensions, got shape {m.shape}")
     if square and m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise UsageError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise UsageError("matrix entries must be finite")
     return m
 
 
@@ -325,7 +325,7 @@ def locate_eigenpair(a, lam, *, simple: bool = False) -> tuple[SchurEigenpair, i
     """Engine entry for one eigenvalue: prescale, Schur form, locate, reorder.
 
     lam is matched to the nearest Schur diagonal entry, which must lie
-    within EIG_RESIDUAL_TOL * ||A||_F of it (else ValueError).  With simple
+    within EIG_RESIDUAL_TOL * ||A||_F of it (else UsageError).  With simple
     the entry must also lie farther than EIG_GAP_TOL * ||A||_F from the rest
     of the diagonal (else ClusteredSpectrumError), and the left eigenvector
     is verified along with the right one.  Returns the pair for the
@@ -348,7 +348,7 @@ def locate_eigenpair(a, lam, *, simple: bool = False) -> tuple[SchurEigenpair, i
                 f"{pow2_scale(gap, -s):.3e} (threshold {pow2_scale(threshold, -s):.3e})",
                 cluster=(lam,))
     if dist[k] > tol:
-        raise ValueError(f"{lam!r} is not an eigenvalue within tolerance (nearest "
+        raise UsageError(f"{lam!r} is not an eigenvalue within tolerance (nearest "
                          f"eigenvalue at distance {pow2_scale(dist[k], -s):.3e} > "
                          f"{pow2_scale(tol, -s):.3e})")
     pair = schur_eigenpair(form, k)
@@ -368,7 +368,7 @@ def right_left_eigenpair(a, lam):
     """Unit right and left eigenvectors (x, y) for a simple eigenvalue lam.
 
     Phases are fixed so each vector's largest-modulus entry is real positive.
-    Raises ValueError when lam is not an eigenvalue to tolerance and
+    Raises UsageError when lam is not an eigenvalue to tolerance and
     ClusteredSpectrumError when it is not numerically simple.
     """
     pair, _ = locate_eigenpair(a, lam, simple=True)
@@ -390,19 +390,22 @@ def write_matrix(path, a) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """Read the matrix text format written by write_matrix."""
-    with open(path, "r", encoding="ascii") as fh:
-        stripped = [ln.strip() for ln in fh]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            stripped = [ln.strip() for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise UsageError(str(exc)) from exc
     lines = [ln for ln in stripped if ln]
     if not lines:
-        raise ValueError(f"{path}: empty matrix file")
+        raise UsageError(f"{path}: empty matrix file")
     try:
         n = int(lines[0])
     except ValueError as exc:
-        raise ValueError(f"{path}: header must be the matrix dimension") from exc
+        raise UsageError(f"{path}: header must be the matrix dimension") from exc
     if n < 1:
-        raise ValueError(f"{path}: dimension must be positive, got {n}")
+        raise UsageError(f"{path}: dimension must be positive, got {n}")
     if len(lines) - 1 != n * n:
-        raise ValueError(f"{path}: expected {n * n} entry lines, found {len(lines) - 1}")
+        raise UsageError(f"{path}: expected {n * n} entry lines, found {len(lines) - 1}")
     out = np.empty(n * n, dtype=np.complex128)
     try:
         for k, ln in enumerate(lines[1:]):
@@ -410,5 +413,5 @@ def read_matrix(path) -> np.ndarray:
             out[k] = complex(float(re), float(im))
     except ValueError as exc:
         lineno = [i for i, ln in enumerate(stripped, 1) if ln][k + 1]  # blanks count
-        raise ValueError(f"{path}: line {lineno}: expected 're im'") from exc
+        raise UsageError(f"{path}: line {lineno}: expected 're im'") from exc
     return as_matrix(out.reshape(n, n), square=True)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, UsageError
 from .extremal import (_norm_from_sum, _power_terms, _validate_p, modulus_p_norm,
                        separation_functional)
 from .lattice import Configuration, first_n_lattice_points, pair_distances
@@ -60,22 +60,22 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("optimization needs n >= 2")
+            raise UsageError("optimization needs n >= 2")
         _validate_p(self.p)
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+            raise UsageError("restarts must be at least 1")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise UsageError("max_iters must be at least 1")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise UsageError("seed must be nonnegative")
         if self.init not in ("lattice", "random", "file"):
-            raise ValueError(f"init must be 'lattice', 'random' or 'file', got {self.init!r}")
+            raise UsageError(f"init must be 'lattice', 'random' or 'file', got {self.init!r}")
         if self.init == "file":
             if self.init_points is None:
-                raise ValueError("init='file' requires init_points")
+                raise UsageError("init='file' requires init_points")
             pts = tuple(complex(z) for z in self.init_points)
             if len(pts) != self.n:
-                raise ValueError(f"init_points has {len(pts)} points, expected n={self.n}")
+                raise UsageError(f"init_points has {len(pts)} points, expected n={self.n}")
             object.__setattr__(self, "init_points", pts)
 
 
@@ -152,7 +152,7 @@ def _soft_eval(st: _State, p: float, beta: float, with_grad: bool):
     if not with_grad:
         return f, softmin, dmin
     if math.isinf(p):
-        raise ValueError("the gradient needs finite p (use a large-p surrogate)")
+        raise UsageError("the gradient needs finite p (use a large-p surrogate)")
     if moduli.all():
         grad_num = scale * u ** (p - 1.0) * (z / moduli)
     else:
@@ -169,19 +169,27 @@ def _soft_eval(st: _State, p: float, beta: float, with_grad: bool):
     return f, softmin, grad
 
 
+def _soft_at(c: Configuration, p, beta, with_grad: bool):
+    """_soft_eval at the points of c, after checking the arguments of
+    soft_separation_functional and gradient; the gradient needs finite p."""
+    p = _validate_p(p)
+    beta = float(beta)
+    if with_grad and math.isinf(p):
+        raise UsageError("the gradient needs finite p")
+    if beta <= 0.0:
+        raise UsageError("beta must be positive")
+    if c.n < 2:
+        raise UsageError("need at least two points")
+    return _soft_eval(_state(np.array(c.points), p), p, beta, with_grad)
+
+
 def soft_separation_functional(c: Configuration, p, beta) -> float:
     """Smooth surrogate of the separation functional: p-norm over soft-min gap.
 
     softmin_beta <= hard min always, with hard_min - softmin_beta bounded by
     log(n*(n-1)/2)/beta.
     """
-    p = _validate_p(p)
-    beta = float(beta)
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if c.n < 2:
-        raise ValueError("need at least two points")
-    return _soft_eval(_state(np.array(c.points), p), p, beta, False)[0]
+    return _soft_at(c, p, beta, False)[0]
 
 
 def gradient(c: Configuration, p, beta) -> np.ndarray:
@@ -190,15 +198,7 @@ def gradient(c: Configuration, p, beta) -> np.ndarray:
     Real and imaginary parts are the partial derivatives with respect to the
     point's real and imaginary coordinates.
     """
-    p = _validate_p(p)
-    beta = float(beta)
-    if math.isinf(p):
-        raise ValueError("the gradient needs finite p")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if c.n < 2:
-        raise ValueError("need at least two points")
-    return _soft_eval(_state(np.array(c.points), p), p, beta, True)[2]
+    return _soft_at(c, p, beta, True)[2]
 
 
 def _descend(z0: np.ndarray, p_smooth: float, p_true: float,

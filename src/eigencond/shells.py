@@ -22,7 +22,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from operator import mul
 
-from .errors import NumericalError
+from .errors import NumericalError, UsageError
 
 CELL_AREA = math.sqrt(3.0) / 2.0  # determinant of the generator matrix
 
@@ -42,7 +42,7 @@ _CELL_RADIUS = 1.0 / math.sqrt(3.0)
 def _validate_p(p) -> float:
     p = float(p)
     if math.isnan(p) or p <= 0.0:
-        raise ValueError(f"p must be positive (math.inf allowed), got {p!r}")
+        raise UsageError(f"p must be positive (math.inf allowed), got {p!r}")
     return p
 
 
@@ -51,7 +51,7 @@ def _disk_rows(bound: int) -> list[int]:
     b's parity with t^2 <= 4 bound - 3b^2, so rows b and -b each hold the
     T + 1 sites t = -T, -T + 2, ..., T.  Empty for a negative bound."""
     if bound > _MAX_SHELL_BOUND:
-        raise ValueError(f"shell bound {bound} exceeds {_MAX_SHELL_BOUND}")
+        raise UsageError(f"shell bound {bound} exceeds {_MAX_SHELL_BOUND}")
     four = 4 * bound
     rows = []
     for b in range(math.isqrt(four // 3) + 1 if bound >= 0 else 0):
@@ -89,7 +89,7 @@ def lattice_prefix_sums(n: int) -> tuple[int, int]:
     """
     n = int(n)
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise UsageError("n must be at least 1")
     s = math.sqrt(n * CELL_AREA / math.pi)
     lo = math.floor((s - _CELL_RADIUS) ** 2) - 1 if s > _CELL_RADIUS else -1
     hi = math.ceil((s + _CELL_RADIUS) ** 2) + 1
@@ -135,7 +135,7 @@ def lattice_prefix_functionals(n: int) -> tuple[float, float]:
     site is enumerated (lattice_prefix_sums).
     """
     if int(n) < 2:
-        raise ValueError("the separation functional needs at least two points")
+        raise UsageError("the separation functional needs at least two points")
     q_max, q_sum = lattice_prefix_sums(n)
     return math.sqrt(float(q_sum)), math.sqrt(float(q_max))
 

@@ -1,12 +1,22 @@
-"""The public surface: exported names, fixed tolerances, optimizer inputs."""
+"""The public surface: exported names, fixed tolerances, optimizer inputs,
+and the one rule for errors: bad input exits 1, ill-posed mathematics 2."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 import eigencond
 import eigencond.cli
 import eigencond.optimizer
+from eigencond.conditioning import perturbation_experiment
+from eigencond.errors import UsageError
+from eigencond.linalg import write_matrix
 from eigencond.optimizer import OptimizerConfig
 
 PUBLIC_NAMES = [
@@ -69,3 +79,69 @@ def test_star_import_gives_the_defining_modules_objects():
         assert getattr(eigencond, name) is obj
     assert set(PUBLIC_NAMES) <= set(dir(eigencond))
     assert not hasattr(eigencond, "no_such_name")
+
+
+def test_bad_input_is_a_usage_error():
+    # every argument check raises UsageError, a ValueError; the one plain
+    # ValueError is an epsilon too large for unambiguous eigenvalue matching
+    assert issubclass(UsageError, ValueError)
+    plain = []
+    for path in sorted(Path(eigencond.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                plain.append((path.name, ast.unparse(node)))
+    assert len(plain) == 1 and plain[0][0] == "conditioning.py"
+    assert "too large for unambiguous matching" in plain[0][1]
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_nonfinite_epsilon_is_bad_input(epsilon):
+    with pytest.raises(UsageError, match="epsilon must be positive and finite"):
+        perturbation_experiment(np.diag([0.0, 1.0, 2.0]), epsilon, trials=1)
+
+
+@pytest.fixture()
+def inputs(tmp_path):
+    """The files the exit-code table names, written into tmp_path."""
+    write_matrix(tmp_path / "good.mat", np.diag([0.0, 1.0, 2.0]).astype(complex))
+    write_matrix(tmp_path / "one.mat", np.array([[2.0 - 1.0j]]))
+    write_matrix(tmp_path / "ident.mat", np.eye(3, dtype=complex))
+    (tmp_path / "short.mat").write_text("2\n1 0\n0 0\n0 0\n")
+    (tmp_path / "nan.mat").write_text("2\n1 0\n0 0\n0 0\nnan 0\n")
+    (tmp_path / "accent.mat").write_text("2\n1 0\n0 0\n0 0\n1 0\u00e9\n", encoding="utf-8")
+    (tmp_path / "dup.csv").write_text("re,im\n0.0,0.0\n1.0,0.0\n1.0,0.0\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ("reproduce --n 50", 1, "reproduce needs n >= 100"),
+    ("lattice --r -1", 1, "radius must be finite and nonnegative"),
+    ("lattice --r nan", 1, "radius must be finite and nonnegative"),
+    ("lattice --r inf", 1, "--r asks for about inf points"),
+    ("perturb good.mat --eps 0", 1, "epsilon must be positive and finite"),
+    ("perturb good.mat --eps -1", 1, "epsilon must be positive and finite"),
+    ("perturb good.mat --eps nan", 1, "epsilon must be positive and finite"),
+    ("perturb good.mat --eps inf", 1, "epsilon must be positive and finite"),
+    ("cond one.mat", 1, "condition reports need n >= 2"),
+    ("perturb one.mat --eps 1e-6", 1, "condition reports need n >= 2"),
+    ("asymptotics --p 0 --n-list 2,3", 1, "p must be positive"),
+    ("asymptotics --p 2 --n-list 0,5", 1, "at least two points"),
+    ("optimize --n 3 --p 0", 1, "p must be positive"),
+    ("cond short.mat", 1, "expected 4 entry lines, found 3"),
+    ("cond nan.mat", 1, "matrix entries must be finite"),
+    ("cond accent.mat", 1, "'ascii' codec can't decode"),
+    ("perturb good.mat --eps 1", 2, "too large for unambiguous matching"),
+    ("cond ident.mat", 2, "spectrum is clustered"),
+    ("cond --diag dup.csv", 2, "pairwise distinct"),
+    ("asymptotics --p 0.001 --n-list 2,3", 2, "overflows"),
+])
+def test_exit_codes_follow_one_rule(capsys, inputs, monkeypatch, argv, code, message):
+    monkeypatch.chdir(inputs)
+    assert eigencond.cli.main(argv.split()) == code
+    out, err = capsys.readouterr()
+    prefix = "error: " if code == 1 else "numerical error: "
+    assert out == "" and err.startswith(prefix) and message in err
+    assert err.count("\n") == 1

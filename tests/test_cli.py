@@ -16,6 +16,7 @@ import eigencond.cli
 import eigencond.conditioning
 import eigencond.extremal
 import eigencond.lattice
+import eigencond.linalg
 import eigencond.optimizer
 import eigencond.shells
 from eigencond.cli import (MAX_OPTIMIZE_POINTS, MAX_POINTS, MAX_REPRODUCE_N, main,
@@ -887,12 +888,13 @@ def test_fewer_than_two_points_exit_1(capsys, tmp_path, monkeypatch, args):
     write_matrix(one_mat, np.array([[2.0 - 1.0j]]))
 
     def forbidden(*unused, **kwargs):
-        raise AssertionError("a report ran on fewer than two points")
+        raise AssertionError("a kernel ran on fewer than two points")
 
-    for module, name in ((eigencond.conditioning, "condition_report"),
-                         (eigencond.conditioning, "condition_report_diagonal"),
-                         (eigencond.conditioning, "perturbation_experiment"),
-                         (eigencond.optimizer, "optimize")):
+    # the reports reject n < 2 on their first lines, so no kernel may run
+    for module, name in ((eigencond.linalg, "schur"), (eigencond.conditioning, "schur"),
+                         (eigencond.lattice, "nearest_neighbor_distances"),
+                         (eigencond.conditioning, "nearest_neighbor_distances"),
+                         (eigencond.optimizer, "_descend")):
         monkeypatch.setattr(module, name, forbidden)
     argv = [arg.format(csv=one_csv, mat=one_mat) for arg in args]
     code, out, err = run_cli(capsys, *argv)
@@ -921,3 +923,24 @@ def test_version_flag():
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "eigencond" in result.stdout
+
+
+@pytest.mark.parametrize("args, message", [
+    (("asymptotics", "--p", "2", "--n-list", "2,3", "--file", "{csv}"),
+     "--file requires --generator file"),
+    (("optimize", "--n", "3", "--file", "{csv}"), "--file requires --init file"),
+    (("lattice", "--n", "3", "--open"), "--open requires --r"),
+], ids=["asymptotics-file", "optimize-file", "lattice-open"])
+def test_ignored_flag_exit_1(capsys, tmp_path, monkeypatch, args, message):
+    # a flag that the other flags would leave unused is rejected before any work
+    def forbidden(*unused, **kwargs):
+        raise AssertionError("work began despite an ignored flag")
+
+    for module, name in ((eigencond.cli, "read_configuration_csv"),
+                         (eigencond.extremal, "convergence_study"),
+                         (eigencond.optimizer, "optimize"),
+                         (eigencond.lattice, "first_n_sites")):
+        monkeypatch.setattr(module, name, forbidden)
+    argv = [arg.format(csv=_write_config(tmp_path)) for arg in args]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")

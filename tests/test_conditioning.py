@@ -16,6 +16,7 @@ from eigencond.conditioning import (condition_report, condition_report_diagonal,
                                     perturbation_experiment)
 from eigencond.cli import main
 from eigencond.errors import ClusteredSpectrumError, DuplicatePointsError, NumericalError
+from eigencond.extremal import separation_functional
 from eigencond.lattice import Configuration, first_n_lattice_points
 from eigencond.linalg import (locate_eigenpair, right_eigenvector,
                               right_left_eigenpair, write_matrix)
@@ -391,6 +392,20 @@ class TestDiagonalFastPath:
         assert_reports_close(fast, slow)
         for report in (fast, slow):
             assert report.kappa_max_op <= report.kappa_max_frob * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_aggregates_are_the_separation_functionals(self, scale):
+        # the aggregates are the report's own norms over the gap, which are
+        # S_2 and S_inf to the last bit
+        rng = np.random.default_rng(7)
+        configs = [first_n_lattice_points(n) for n in (2, 7, 61, 300)]
+        configs += [Configuration(scale * c.points) for c in configs]
+        configs += [Configuration(scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+                    for n in (2, 3, 40, 257, 300)]
+        for c in configs:
+            report = condition_report_diagonal(c)
+            assert report.kappa_max_frob == separation_functional(c, 2.0)
+            assert report.kappa_max_op == separation_functional(c, math.inf)
 
 
 class TestPerturbationExperiment:
