@@ -12,12 +12,17 @@ Only the numpy-free modules (errors, shells) are imported at the top; each
 handler imports the numeric modules it uses when it runs.  So --version,
 --help, usage errors and reproduce never import numpy.
 
+Each input source is named once: cond and perturb take a matrix file or
+--diag CSV, and asymptotics and optimize read a --file CSV when given one
+(else the lattice, or optimize --init random).
+
 Exit codes: 0 success, 1 bad input, 2 numerical ill-posedness.  Each input
 is checked once: the library raises UsageError (exit 1) for an argument
 outside its domain, and the CLI checks only what the library cannot know:
-how flags relate (--open needs --r, --file needs --generator file or --init
-file), the size limits, and the files it reads and writes.  An unwritable
-output path and a stdout whose reader closed it early exit 1 too.
+how flags relate (argparse states which exclude each other; --open needs
+--r is checked by hand), the size limits, and the files it reads and
+writes.  An unwritable output path and a stdout whose reader closed it
+early exit 1 too.
 """
 
 from __future__ import annotations
@@ -144,15 +149,18 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("cond", help="condition-number report for a matrix")
-    p.add_argument("matrix", nargs="?", help="matrix file (text format: n, then n*n 're im' lines)")
-    p.add_argument("--diag", metavar="CSV",
-                   help="treat a configuration CSV as a diagonal matrix (fast path)")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("matrix", nargs="?",
+                       help="matrix file (text format: n, then n*n 're im' lines)")
+    group.add_argument("--diag", metavar="CSV",
+                       help="treat a configuration CSV as a diagonal matrix (fast path)")
     common(p)
     p.set_defaults(func=_cmd_cond)
 
     p = sub.add_parser("perturb", help="empirical first-order perturbation ratios")
-    p.add_argument("matrix", nargs="?", help="matrix file")
-    p.add_argument("--diag", metavar="CSV", help="diagonal matrix from a configuration CSV")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("matrix", nargs="?", help="matrix file")
+    group.add_argument("--diag", metavar="CSV", help="diagonal matrix from a configuration CSV")
     p.add_argument("--eps", type=float, required=True, help="relative perturbation size")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--norm", choices=("frob", "op"), default="frob")
@@ -163,9 +171,8 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, required=True, help="exponent (inf allowed)")
     p.add_argument("--n-list", type=_n_list, required=True, metavar="N1,N2,...",
                    help="strictly increasing configuration sizes")
-    p.add_argument("--generator", choices=("lattice", "file"), default="lattice")
     p.add_argument("--file", metavar="CSV",
-                   help="with --generator file: configuration whose first n points are used")
+                   help="use the first n points of this configuration, not the lattice")
     common(p)
     p.set_defaults(func=_cmd_asymptotics)
 
@@ -174,8 +181,10 @@ def build_parser() -> _Parser:
                    help=f"number of points (n <= {MAX_OPTIMIZE_POINTS})")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--restarts", type=_positive_int, default=1)
-    p.add_argument("--init", choices=("lattice", "random", "file"), default="lattice")
-    p.add_argument("--file", metavar="CSV", help="with --init file: starting configuration")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--init", choices=("lattice", "random"),
+                       help="generated start (default: lattice)")
+    group.add_argument("--file", metavar="CSV", help="start from this configuration")
     p.add_argument("--max-iters", type=_positive_int, default=300)
     p.add_argument("--trace", metavar="PATH", help="write the JSON-lines objective trace here")
     common(p, seeded=True)
@@ -226,7 +235,7 @@ def read_configuration_csv(path) -> Configuration:
             reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader
                     if row and any(cell.strip() for cell in row)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read configuration file {path}: {exc}") from exc
     if not rows:
         raise UsageError(f"{path}: empty configuration file")
@@ -253,9 +262,7 @@ def _load_matrix_or_diag(ns) -> np.ndarray:
 
     from .linalg import read_matrix
 
-    if (ns.matrix is None) == (ns.diag is None):
-        raise UsageError("provide exactly one of: a matrix file, or --diag CSV")
-    if ns.matrix is None:
+    if ns.diag is not None:
         return np.diag(read_configuration_csv(ns.diag).points)
     try:
         return read_matrix(ns.matrix)
@@ -342,7 +349,7 @@ def _cmd_cond(ns) -> None:
     from .conditioning import condition_report, condition_report_diagonal
     from .linalg import pinned_blas_threads
 
-    if ns.diag is not None and ns.matrix is None:
+    if ns.diag is not None:
         report = condition_report_diagonal(read_configuration_csv(ns.diag))
         params, environment = {"diag": ns.diag}, None
     else:
@@ -379,11 +386,7 @@ def _cmd_asymptotics(ns) -> None:
     from .extremal import convergence_study
     from .lattice import Configuration
 
-    if ns.file and ns.generator != "file":
-        raise UsageError("--file requires --generator file")
-    if ns.generator == "file":
-        if not ns.file:
-            raise UsageError("--generator file requires --file")
+    if ns.file is not None:
         pool = read_configuration_csv(ns.file).points
 
         def generator(n: int) -> Configuration:
@@ -398,8 +401,8 @@ def _cmd_asymptotics(ns) -> None:
         _check_point_count(max(ns.n_list), "--n-list")
         generator = None
     rows = convergence_study(ns.p, ns.n_list, generator)
-    params = {"p": ns.p, "n_list": ns.n_list, "generator": ns.generator,
-              "file": ns.file}
+    params = {"p": ns.p, "n_list": ns.n_list,
+              "generator": "lattice" if ns.file is None else "file", "file": ns.file}
     _emit(ns, "asymptotics", params,
           _csv("n,raw,scale,ratio,target,margin",
                ((row.n, row.raw, row.scale, row.ratio, row.target, row.ratio / row.target)
@@ -409,17 +412,14 @@ def _cmd_asymptotics(ns) -> None:
 def _cmd_optimize(ns) -> None:
     from .optimizer import OptimizerConfig, optimize
 
-    if ns.file and ns.init != "file":
-        raise UsageError("--file requires --init file")
     _check_point_count(ns.n, "--n", MAX_OPTIMIZE_POINTS)
     seed = _resolve_seed(ns)
-    init_points = None
-    if ns.init == "file":
-        if not ns.file:
-            raise UsageError("--init file requires --file")
-        init_points = tuple(read_configuration_csv(ns.file).points)
+    if ns.file is None:
+        init = label = ns.init or "lattice"
+    else:
+        init, label = tuple(read_configuration_csv(ns.file).points), "file"
     cfg = OptimizerConfig(n=ns.n, p=ns.p, restarts=ns.restarts, max_iters=ns.max_iters,
-                          seed=seed, init=ns.init, init_points=init_points)
+                          seed=seed, init=init)
     result = optimize(cfg)
     if ns.trace:
         records = [{"iteration": iteration, "objective": objective}
@@ -427,7 +427,7 @@ def _cmd_optimize(ns) -> None:
         records.append({"event": "done", "objective": result.objective,
                         "init_objective": result.init_objective})
         _write(ns.trace, (_to_json(record) + "\n" for record in records))
-    params = {"n": ns.n, "p": ns.p, "restarts": ns.restarts, "init": ns.init,
+    params = {"n": ns.n, "p": ns.p, "restarts": ns.restarts, "init": label,
               "file": ns.file, "max_iters": ns.max_iters}
     _emit(ns, "optimize", params,
           _csv("re,im", ((z.real, z.imag) for z in result.best.points)), seed)

@@ -89,6 +89,8 @@ def convergence_study(p, n_values: Sequence[int],
         raise UsageError("n_values must be nonempty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise UsageError("n_values must be strictly increasing")
+    if ns[0] < 2:
+        raise UsageError("the separation functional needs at least two points")
     gen = first_n_lattice_points if generator is None else generator
     target = proposition_constant(p)
     rows = []

@@ -48,15 +48,16 @@ _EXP_FLOOR_MIN_N = 25
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search parameters; identical configs (same seed) give bit-identical runs."""
+    """Search parameters; identical configs (same seed) give bit-identical runs.
+
+    init is the start: "lattice", "random" or the n points (kept as a tuple)."""
 
     n: int
     p: float = 2.0
     restarts: int = 1
     max_iters: int = 300
     seed: int = 0
-    init: str = "lattice"  # "lattice" | "random" | "file"
-    init_points: tuple[complex, ...] | None = None
+    init: str | tuple[complex, ...] = "lattice"
 
     def __post_init__(self):
         if self.n < 2:
@@ -68,15 +69,15 @@ class OptimizerConfig:
             raise UsageError("max_iters must be at least 1")
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
-        if self.init not in ("lattice", "random", "file"):
-            raise UsageError(f"init must be 'lattice', 'random' or 'file', got {self.init!r}")
-        if self.init == "file":
-            if self.init_points is None:
-                raise UsageError("init='file' requires init_points")
-            pts = tuple(complex(z) for z in self.init_points)
+        if isinstance(self.init, str):
+            if self.init not in ("lattice", "random"):
+                raise UsageError("init must be 'lattice', 'random' or n points, "
+                                 f"got {self.init!r}")
+        else:
+            pts = tuple(complex(z) for z in self.init)
             if len(pts) != self.n:
-                raise UsageError(f"init_points has {len(pts)} points, expected n={self.n}")
-            object.__setattr__(self, "init_points", pts)
+                raise UsageError(f"init has {len(pts)} points, expected n={self.n}")
+            object.__setattr__(self, "init", pts)
 
 
 def _schedules(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -359,9 +360,9 @@ def _polish(z0: np.ndarray, p_true: float):
 def _initial_points(cfg: OptimizerConfig, restart: int, base=None) -> np.ndarray:
     """The points a restart starts from.
 
-    A random start draws them from the stream (seed, restart).  Lattice and
-    file starts read base, the run's nominal start: restart 0 is base itself,
-    and a later restart jitters it from its own stream.
+    A random start draws them from the stream (seed, restart).  Lattice
+    starts and given points read base, the run's nominal start: restart 0 is
+    base itself, and a later restart jitters it from its own stream.
     """
     rng = np.random.default_rng((cfg.seed, restart))
     if cfg.init == "random":
@@ -390,8 +391,10 @@ def optimize(cfg: OptimizerConfig) -> OptimizerResult:
     betas, steps = _schedules(cfg.n)
     if cfg.init == "lattice":
         init_config = first_n_lattice_points(cfg.n)
+    elif cfg.init == "random":
+        init_config = Configuration(_initial_points(cfg, 0))
     else:
-        init_config = Configuration(_initial_points(cfg, 0, cfg.init_points))
+        init_config = Configuration(cfg.init)
     base = init_config.points
     init_objective = separation_functional(init_config, p_true)
     # the start competes as candidate -1 so no run can return anything worse

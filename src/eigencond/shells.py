@@ -43,6 +43,8 @@ def _validate_p(p) -> float:
     p = float(p)
     if math.isnan(p) or p <= 0.0:
         raise UsageError(f"p must be positive (math.inf allowed), got {p!r}")
+    if math.isinf(1.0 / p):  # p below 5.6e-309: out of float range, not bad input
+        raise NumericalError(f"1/p overflows at p = {p!r}")
     return p
 
 

@@ -113,6 +113,8 @@ def inputs(tmp_path):
     (tmp_path / "nan.mat").write_text("2\n1 0\n0 0\n0 0\nnan 0\n")
     (tmp_path / "accent.mat").write_text("2\n1 0\n0 0\n0 0\n1 0\u00e9\n", encoding="utf-8")
     (tmp_path / "dup.csv").write_text("re,im\n0.0,0.0\n1.0,0.0\n1.0,0.0\n")
+    (tmp_path / "three.csv").write_text("re,im\n0.0,0.0\n1.0,0.0\n2.0,0.0\n")
+    (tmp_path / "latin1.csv").write_bytes(b"re,im\n0.0,0.0\n1.0,0.0\n2.0,0.0\xe9\n")
     return tmp_path
 
 
@@ -129,6 +131,15 @@ def inputs(tmp_path):
     ("perturb one.mat --eps 1e-6", 1, "condition reports need n >= 2"),
     ("asymptotics --p 0 --n-list 2,3", 1, "p must be positive"),
     ("asymptotics --p 2 --n-list 0,5", 1, "at least two points"),
+    ("asymptotics --p 2 --n-list=-1,2", 1, "at least two points"),
+    ("asymptotics --p 2 --n-list 1,5", 1, "at least two points"),
+    ("asymptotics --p 2 --n-list=-1,2 --file three.csv", 1, "at least two points"),
+    ("asymptotics --p 2 --n-list 0,5 --file three.csv", 1, "at least two points"),
+    ("asymptotics --p 2 --n-list 1,5 --file three.csv", 1, "at least two points"),
+    ("cond --diag latin1.csv", 1, "'utf-8' codec can't decode"),
+    ("perturb --diag latin1.csv --eps 1e-6", 1, "'utf-8' codec can't decode"),
+    ("asymptotics --p 2 --n-list 2 --file latin1.csv", 1, "'utf-8' codec can't decode"),
+    ("optimize --n 3 --file latin1.csv", 1, "'utf-8' codec can't decode"),
     ("optimize --n 3 --p 0", 1, "p must be positive"),
     ("cond short.mat", 1, "expected 4 entry lines, found 3"),
     ("cond nan.mat", 1, "matrix entries must be finite"),
@@ -137,6 +148,8 @@ def inputs(tmp_path):
     ("cond ident.mat", 2, "spectrum is clustered"),
     ("cond --diag dup.csv", 2, "pairwise distinct"),
     ("asymptotics --p 0.001 --n-list 2,3", 2, "overflows"),
+    ("asymptotics --p 1e-320 --n-list 3", 2, "1/p overflows"),
+    ("optimize --n 3 --p 1e-320", 2, "1/p overflows"),
 ])
 def test_exit_codes_follow_one_rule(capsys, inputs, monkeypatch, argv, code, message):
     monkeypatch.chdir(inputs)

@@ -280,14 +280,12 @@ class TestAsymptoticsCommand:
         config_csv = tmp_path / "c.csv"
         run_cli(capsys, "lattice", "--n", "50", "--output", str(config_csv))
         code, out, _ = run_cli(capsys, "asymptotics", "--p", "2", "--n-list", "10,30",
-                               "--generator", "file", "--file", str(config_csv))
+                               "--file", str(config_csv))
         assert code == 0
         assert len(out.splitlines()) == 3
         code, _, _ = run_cli(capsys, "asymptotics", "--p", "2", "--n-list", "10,80",
-                             "--generator", "file", "--file", str(config_csv))
+                             "--file", str(config_csv))
         assert code == 1  # file holds only 50 points
-        assert run_cli(capsys, "asymptotics", "--p", "2", "--n-list", "10",
-                       "--generator", "file")[0] == 1
 
     def test_overflowing_p_exits_2(self, capsys, tmp_path):
         # p = 0.001 overflows the lattice p-norm; on the pair {0, 1}, whose
@@ -295,8 +293,7 @@ class TestAsymptoticsCommand:
         pair = tmp_path / "pair.csv"
         pair.write_text("re,im\n0,0\n1,0\n")
         for args in (("--p", "0.001", "--n-list", "100,200"),
-                     ("--p", "0.0005", "--n-list", "2", "--generator", "file",
-                      "--file", str(pair))):
+                     ("--p", "0.0005", "--n-list", "2", "--file", str(pair))):
             code, out, err = run_cli(capsys, "asymptotics", *args)
             assert code == 2 and out == ""
             assert err.startswith("numerical error:") and err.count("\n") == 1
@@ -331,10 +328,9 @@ class TestOptimizeCommand:
     def test_file_init_roundtrip(self, capsys, tmp_path):
         config_csv = tmp_path / "c.csv"
         run_cli(capsys, "lattice", "--n", "4", "--output", str(config_csv))
-        code, out, _ = run_cli(capsys, "optimize", "--n", "4", "--init", "file",
+        code, out, _ = run_cli(capsys, "optimize", "--n", "4",
                                "--file", str(config_csv), "--max-iters", "20")
         assert code == 0
-        assert run_cli(capsys, "optimize", "--n", "4", "--init", "file")[0] == 1
 
     def test_deterministic_output(self, capsys):
         args = ("optimize", "--n", "3", "--init", "random", "--seed", "2",
@@ -820,9 +816,8 @@ def test_nonfinite_configuration_csv_exit_1(capsys, tmp_path, bad):
     path.write_text(f"re,im\n0.0,0.0\n\n1.0,{bad}\n2.0,0.0\n")
     for args in (("cond", "--diag", str(path)),
                  ("perturb", "--diag", str(path), "--eps", "1e-6"),
-                 ("asymptotics", "--p", "2", "--n-list", "2",
-                  "--generator", "file", "--file", str(path)),
-                 ("optimize", "--n", "3", "--init", "file", "--file", str(path))):
+                 ("asymptotics", "--p", "2", "--n-list", "2", "--file", str(path)),
+                 ("optimize", "--n", "3", "--file", str(path))):
         code, out, err = run_cli(capsys, *args)
         assert code == 1 and out == ""
         assert "line 4" in err and "not finite" in err
@@ -858,19 +853,17 @@ def test_duplicate_points_exit_2(capsys, tmp_path):
     Path(path).write_text("re,im\n0,0\n1,0\n1,0\n2,0\n")
     for args in (("cond", "--diag", path),
                  ("perturb", "--diag", path, "--eps", "1e-6"),
-                 ("asymptotics", "--p", "2", "--n-list", "2,4",
-                  "--generator", "file", "--file", path),
-                 ("optimize", "--n", "4", "--init", "file", "--file", path,
-                  "--max-iters", "5")):
+                 ("asymptotics", "--p", "2", "--n-list", "2,4", "--file", path),
+                 ("optimize", "--n", "4", "--file", path, "--max-iters", "5")):
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == "", args
     assert "not pairwise distinct" in err or "coincident" in err
     code, out, err = run_cli(capsys, "asymptotics", "--p", "2", "--n-list", "2,4",
-                             "--generator", "file", "--file", path)
+                             "--file", path)
     assert "first 4 points are not pairwise distinct" in err
     # a prefix without the repeated point is still a valid configuration
     code, out, _ = run_cli(capsys, "asymptotics", "--p", "2", "--n-list", "2",
-                           "--generator", "file", "--file", path)
+                           "--file", path)
     assert code == 0 and len(out.splitlines()) == 2
 
 
@@ -926,21 +919,36 @@ def test_version_flag():
 
 
 @pytest.mark.parametrize("args, message", [
-    (("asymptotics", "--p", "2", "--n-list", "2,3", "--file", "{csv}"),
-     "--file requires --generator file"),
-    (("optimize", "--n", "3", "--file", "{csv}"), "--file requires --init file"),
+    (("optimize", "--n", "3", "--init", "random", "--file", "{csv}"),
+     "argument --file: not allowed with argument --init"),
+    (("cond", "{mat}", "--diag", "{csv}"), "argument --diag: not allowed with argument matrix"),
+    (("cond",), "one of the arguments matrix --diag is required"),
+    (("perturb", "{mat}", "--diag", "{csv}", "--eps", "1e-6"),
+     "argument --diag: not allowed with argument matrix"),
+    (("perturb", "--eps", "1e-6"), "one of the arguments matrix --diag is required"),
+    (("asymptotics", "--p", "2", "--n-list", "2,3", "--generator", "file", "--file", "{csv}"),
+     "unrecognized arguments: --generator file"),
+    (("optimize", "--n", "3", "--init", "file", "--file", "{csv}"),
+     "argument --init: invalid choice: 'file'"),
     (("lattice", "--n", "3", "--open"), "--open requires --r"),
-], ids=["asymptotics-file", "optimize-file", "lattice-open"])
+], ids=["optimize-file", "cond-both", "cond-none", "perturb-both", "perturb-none",
+        "asymptotics-generator-file", "optimize-init-file", "lattice-open"])
 def test_ignored_flag_exit_1(capsys, tmp_path, monkeypatch, args, message):
-    # a flag that the other flags would leave unused is rejected before any work
+    # input sources that exclude each other, a missing source, a removed
+    # spelling and a flag the others would leave unused: each is rejected
+    # before any work
     def forbidden(*unused, **kwargs):
-        raise AssertionError("work began despite an ignored flag")
+        raise AssertionError("work began despite a bad flag relation")
 
     for module, name in ((eigencond.cli, "read_configuration_csv"),
+                         (eigencond.linalg, "read_matrix"),
                          (eigencond.extremal, "convergence_study"),
                          (eigencond.optimizer, "optimize"),
                          (eigencond.lattice, "first_n_sites")):
         monkeypatch.setattr(module, name, forbidden)
-    argv = [arg.format(csv=_write_config(tmp_path)) for arg in args]
+    mat = tmp_path / "a.mat"
+    write_matrix(mat, np.diag([0.0, 1.0]).astype(complex))
+    argv = [arg.format(csv=_write_config(tmp_path), mat=mat) for arg in args]
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1

@@ -180,6 +180,17 @@ class TestConditionReport:
         with pytest.raises(ClusteredSpectrumError):
             condition_report(np.eye(3, dtype=complex))
 
+    @pytest.mark.parametrize("gap, clustered", [(0.9e-8, True), (1.1e-8, False)])
+    def test_cluster_threshold_is_eig_gap_tol(self, gap, clustered):
+        # a pair 10% inside EIG_GAP_TOL * ||A||_F is clustered, 10% outside is not
+        a = np.diag([1.0, 1.0, 3.0]).astype(complex)
+        a[1, 1] += gap * np.linalg.norm(a)
+        if clustered:
+            with pytest.raises(ClusteredSpectrumError):
+                condition_report(a)
+        else:
+            assert len(condition_report(a).per_eigenpair) == 3
+
     def test_clustered_pairs_are_listed_in_spectrum_order(self):
         with pytest.raises(ClusteredSpectrumError) as info:
             condition_report(np.diag([3.0, 0.0, 3.0, 0.0, 1.0]).astype(complex))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_distinct_points
 from eigencond.conditioning import condition_report_diagonal
-from eigencond.errors import NumericalError
+from eigencond.errors import NumericalError, UsageError
 from eigencond.extremal import (_growth_scale, convergence_study, modulus_p_norm,
                                 proposition_constant, separation_functional)
 from eigencond.lattice import Configuration, first_n_lattice_points
@@ -152,6 +152,15 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(2.0, [200, 100])
 
+    @pytest.mark.parametrize("n_values", [[-1, 2], [0, 5], [1, 5]])
+    def test_sizes_below_two_are_rejected_before_any_generator_call(self, n_values):
+        def never(n):
+            raise AssertionError(f"generator called with n = {n}")
+
+        for generator in (never, None):
+            with pytest.raises(UsageError, match="at least two points"):
+                convergence_study(2.0, n_values, generator=generator)
+
 
 class TestConvergenceMargin:
     """The margin ratio / target of a convergence_study row (the asymptotics
@@ -203,6 +212,15 @@ class TestFloatRange:
             _growth_scale(2, 0.0005)
         with pytest.raises(NumericalError):
             convergence_study(0.0005, [2], generator=lambda n: pair)
+
+    def test_p_whose_reciprocal_overflows(self):
+        # 1/p is inf below about 5.6e-309, where float ** inf returns inf
+        # without the OverflowError that the norms raise at larger tiny p
+        for p in (1e-320, 5e-324):
+            with pytest.raises(NumericalError, match="1/p overflows"):
+                convergence_study(p, [3])
+            with pytest.raises(NumericalError, match="1/p overflows"):
+                separation_functional(first_n_lattice_points(3), p)
 
     @given(st.integers(min_value=0, max_value=10 ** 6),
            st.sampled_from([0.01, 0.5, 1.0, 2.0, 3.0, 64.0, 1000.0]))

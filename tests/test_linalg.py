@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_unitary, unitary_with_first_column
-from eigencond.errors import ClusteredSpectrumError
+from eigencond.errors import ClusteredSpectrumError, NumericalError
 from eigencond.linalg import (as_matrix, frobenius_norm, one_blas_thread,
                               operator_norm, pinned_blas_threads, read_matrix,
                               right_eigenvector, right_left_eigenpair, schur,
@@ -61,6 +61,24 @@ class TestSchur:
         assert np.linalg.norm(np.tril(form.t, -1)) <= 1e-12 * np.linalg.norm(a)
         n = a.shape[0]
         assert np.linalg.norm(form.q.conj().T @ form.q - np.eye(n)) <= 1e-12 * n
+
+    @pytest.mark.parametrize("spoil, message", [
+        # q scaled by 1 + 1e-9 and t by its inverse square: q t q^H keeps
+        # its value, and only the unitarity check can see the change
+        (lambda t, q: (t / (1.0 + 1e-9) ** 2, q * (1.0 + 1e-9)), "not unitary"),
+        # t off by 1e-9 * ||A||_F in one diagonal entry: only the
+        # reconstruction check can see the change
+        (lambda t, q: (t + np.diag([1e-9 * np.linalg.norm(t)] + [0.0] * (len(t) - 1)), q),
+         "reconstruction residual"),
+    ], ids=["q", "t"])
+    def test_spoiled_factor_is_rejected(self, monkeypatch, spoil, message):
+        import scipy.linalg
+
+        exact = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur", lambda m, output: spoil(*exact(m, output)))
+        a = ginibre(np.random.default_rng(7), 6)
+        with pytest.raises(NumericalError, match=message):
+            schur(a)
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):

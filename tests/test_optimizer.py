@@ -12,7 +12,7 @@ import eigencond.optimizer as opt
 from conftest import (random_distinct_points, reference_descend, reference_optimize,
                       reference_pair_distances, reference_polish,
                       reference_rescale_gauge, reference_soft_eval)
-from eigencond.errors import NumericalError
+from eigencond.errors import NumericalError, UsageError
 from eigencond.extremal import (modulus_p_norm, proposition_constant,
                                 separation_functional)
 from eigencond.lattice import Configuration, first_n_lattice_points
@@ -187,11 +187,12 @@ class TestOptimize:
         assert result.objective <= result.init_objective
 
     def test_file_init(self):
-        points = tuple(first_n_lattice_points(4).points)
-        cfg = OptimizerConfig(n=4, p=2.0, init="file", init_points=points,
-                              seed=0, max_iters=20)
+        points = first_n_lattice_points(4).points
+        cfg = OptimizerConfig(n=4, p=2.0, init=points, seed=0, max_iters=20)
+        assert cfg.init == tuple(complex(z) for z in points)
         result = optimize(cfg)
         assert result.objective <= result.init_objective
+        assert result.init_objective == separation_functional(Configuration(points), 2.0)
 
     def test_trace_is_nonincreasing_at_the_end(self):
         cfg = OptimizerConfig(n=8, p=2.0, init="random", seed=7, max_iters=60)
@@ -207,12 +208,12 @@ class TestOptimize:
             OptimizerConfig(n=3, p=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(n=3, restarts=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(n=3, init="file")
-        with pytest.raises(ValueError):
-            OptimizerConfig(n=3, init="file", init_points=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            OptimizerConfig(n=3, init="sobol")
+        for init in ("file", "sobol", (0.0, 1.0), (0.0, 1.0, 2.0, 3.0)):
+            with pytest.raises(UsageError):
+                OptimizerConfig(n=3, init=init)
+        # the start points are init itself: no field can hold points a run ignores
+        with pytest.raises(TypeError):
+            OptimizerConfig(n=3, init="random", init_points=(0.0, 1.0, 2j))
         with pytest.raises(ValueError):
             OptimizerConfig(n=3, seed=-1)
 
