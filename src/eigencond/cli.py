@@ -5,16 +5,17 @@ All CSV output carries headers and uses shortest round-trip float formatting
 (_csv); every file goes through _write, and every run serializes one JSON
 manifest (_emit) to stderr and optionally to a file.  Manifests and traces
 are strict JSON: a non-finite float is written as the string "inf", "-inf"
-or "nan".  Randomized subcommands take --seed, with the EIGENCOND_SEED
-environment variable as fallback; a fixed seed reproduces output bit for bit.
+or "nan".  Randomized subcommands take --seed (default 0), their only seed
+source; a fixed seed reproduces output bit for bit.
 
 Only the numpy-free modules (errors, shells) are imported at the top; each
 handler imports the numeric modules it uses when it runs.  So --version,
 --help, usage errors and reproduce never import numpy.
 
-Each input source is named once: cond and perturb take a matrix file or
---diag CSV, and asymptotics and optimize read a --file CSV when given one
-(else the lattice, or optimize --init random).
+Each input has one source and one rule: cond and perturb read one FILE, a
+matrix file or, with --diag, a configuration CSV taken as a diagonal
+matrix; asymptotics and optimize read the first n points of a --file CSV
+when given one (else the lattice, or optimize --init random).
 
 Exit codes: 0 success, 1 bad input, 2 numerical ill-posedness.  Each input
 is checked once: the library raises UsageError (exit 1) for an argument
@@ -36,11 +37,9 @@ import os
 import sys
 
 from . import __version__
-from .errors import DuplicatePointsError, NumericalError, UsageError
+from .errors import NumericalError, UsageError
 from .shells import (CELL_AREA, _growth_scale, lattice_prefix_functionals,
                      proposition_constant)
-
-SEED_ENV_VAR = "EIGENCOND_SEED"
 
 # Most lattice points one invocation may build (lattice --n/--r,
 # asymptotics --n-list).  first_n_sites peaks at 48 bytes per site under
@@ -133,8 +132,8 @@ def build_parser() -> _Parser:
         p.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
         p.add_argument("--manifest", metavar="PATH", help="also write the run manifest here")
         if seeded:
-            p.add_argument("--seed", type=_nonnegative_int, default=None,
-                           help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+            p.add_argument("--seed", type=_nonnegative_int, default=0,
+                           help="RNG seed (default 0)")
 
     p = sub.add_parser("lattice", help="enumerate triangular-lattice points")
     group = p.add_mutually_exclusive_group(required=True)
@@ -149,18 +148,19 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("cond", help="condition-number report for a matrix")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("matrix", nargs="?",
-                       help="matrix file (text format: n, then n*n 're im' lines)")
-    group.add_argument("--diag", metavar="CSV",
-                       help="treat a configuration CSV as a diagonal matrix (fast path)")
+    p.add_argument("file", metavar="FILE",
+                   help="matrix file (text format: n, then n*n 're im' lines), "
+                        "or with --diag a configuration CSV")
+    p.add_argument("--diag", action="store_true",
+                   help="take FILE's points as a diagonal matrix (fast path)")
     common(p)
     p.set_defaults(func=_cmd_cond)
 
     p = sub.add_parser("perturb", help="empirical first-order perturbation ratios")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("matrix", nargs="?", help="matrix file")
-    group.add_argument("--diag", metavar="CSV", help="diagonal matrix from a configuration CSV")
+    p.add_argument("file", metavar="FILE",
+                   help="matrix file, or with --diag a configuration CSV")
+    p.add_argument("--diag", action="store_true",
+                   help="take FILE's points as a diagonal matrix")
     p.add_argument("--eps", type=float, required=True, help="relative perturbation size")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--norm", choices=("frob", "op"), default="frob")
@@ -184,7 +184,8 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--init", choices=("lattice", "random"),
                        help="generated start (default: lattice)")
-    group.add_argument("--file", metavar="CSV", help="start from this configuration")
+    group.add_argument("--file", metavar="CSV",
+                       help="start from the first n points of this configuration")
     p.add_argument("--max-iters", type=_positive_int, default=300)
     p.add_argument("--trace", metavar="PATH", help="write the JSON-lines objective trace here")
     common(p, seeded=True)
@@ -204,22 +205,6 @@ def _parser() -> _Parser:
     """build_parser(), built once per process: building it costs more than a
     whole reproduce run, and parsing leaves it unchanged, so main reuses it."""
     return build_parser()
-
-
-def _resolve_seed(ns) -> int:
-    seed = getattr(ns, "seed", None)
-    if seed is not None:
-        return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        seed = int(env)
-    except ValueError as exc:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    if seed < 0:
-        raise UsageError(f"{SEED_ENV_VAR} must be nonnegative")
-    return seed
 
 
 def read_configuration_csv(path) -> Configuration:
@@ -257,17 +242,13 @@ def read_configuration_csv(path) -> Configuration:
     return Configuration(points)
 
 
-def _load_matrix_or_diag(ns) -> np.ndarray:
-    import numpy as np
-
+def _read_matrix_file(path) -> np.ndarray:
     from .linalg import read_matrix
 
-    if ns.diag is not None:
-        return np.diag(read_configuration_csv(ns.diag).points)
     try:
-        return read_matrix(ns.matrix)
+        return read_matrix(path)
     except OSError as exc:
-        raise UsageError(f"cannot read matrix file {ns.matrix}: {exc}") from exc
+        raise UsageError(f"cannot read matrix file {path}: {exc}") from exc
 
 
 def _write(path, chunks) -> None:
@@ -349,58 +330,52 @@ def _cmd_cond(ns) -> None:
     from .conditioning import condition_report, condition_report_diagonal
     from .linalg import pinned_blas_threads
 
-    if ns.diag is not None:
-        report = condition_report_diagonal(read_configuration_csv(ns.diag))
-        params, environment = {"diag": ns.diag}, None
+    if ns.diag:
+        report = condition_report_diagonal(read_configuration_csv(ns.file))
+        environment = None
     else:
-        report = condition_report(_load_matrix_or_diag(ns))
-        params = {"matrix": ns.matrix}
+        report = condition_report(_read_matrix_file(ns.file))
         environment = {"blas_threads": pinned_blas_threads()}
     rows = [(row.eigenvalue.real, row.eigenvalue.imag, row.kappa_lambda, row.kappa_x)
             for row in report.per_eigenpair]
     rows.append(("kappa_max", report.kappa_max_frob, report.kappa_max_op))
-    _emit(ns, "cond", params, _csv("lambda_re,lambda_im,kappa_lambda,kappa_x", rows),
-          environment=environment)
+    _emit(ns, "cond", {"diag" if ns.diag else "matrix": ns.file},
+          _csv("lambda_re,lambda_im,kappa_lambda,kappa_x", rows), environment=environment)
 
 
 def _cmd_perturb(ns) -> None:
+    import numpy as np
+
     from .conditioning import perturbation_experiment
     from .linalg import pinned_blas_threads
 
-    matrix = _load_matrix_or_diag(ns)
-    seed = _resolve_seed(ns)
+    if ns.diag:
+        matrix = np.diag(read_configuration_csv(ns.file).points)
+    else:
+        matrix = _read_matrix_file(ns.file)
     result = perturbation_experiment(matrix, ns.eps, trials=ns.trials,
-                                     norm_kind=ns.norm, seed=seed)
+                                     norm_kind=ns.norm, seed=ns.seed)
     rows = [(row.eigenvalue.real, row.eigenvalue.imag, row.kappa_lambda, row.kappa_x,
              row.shift_ratio, row.angle_ratio) for row in result.rows]
     rows.append(("excluded_trials", result.excluded_trials))
-    params = {"matrix": ns.matrix, "diag": ns.diag, "eps": ns.eps,
-              "trials": ns.trials, "norm": ns.norm}
+    params = {"matrix": None, "diag": None, "eps": ns.eps, "trials": ns.trials,
+              "norm": ns.norm}
+    params["diag" if ns.diag else "matrix"] = ns.file
     environment = {"blas_threads": pinned_blas_threads()}
     _emit(ns, "perturb", params,
           _csv("lambda_re,lambda_im,kappa_lambda,kappa_x,shift_ratio,angle_ratio", rows),
-          seed, environment)
+          ns.seed, environment)
 
 
 def _cmd_asymptotics(ns) -> None:
     from .extremal import convergence_study
-    from .lattice import Configuration
 
-    if ns.file is not None:
-        pool = read_configuration_csv(ns.file).points
-
-        def generator(n: int) -> Configuration:
-            if n > pool.size:
-                raise UsageError(f"configuration file has {pool.size} points, need {n}")
-            config = Configuration(pool[:n])
-            if n > 1 and config.min_separation == 0.0:
-                raise DuplicatePointsError(
-                    f"{ns.file}: the first {n} points are not pairwise distinct")
-            return config
-    else:
+    if ns.file is None:
         _check_point_count(max(ns.n_list), "--n-list")
-        generator = None
-    rows = convergence_study(ns.p, ns.n_list, generator)
+        points = None
+    else:
+        points = read_configuration_csv(ns.file).points
+    rows = convergence_study(ns.p, ns.n_list, points)
     params = {"p": ns.p, "n_list": ns.n_list,
               "generator": "lattice" if ns.file is None else "file", "file": ns.file}
     _emit(ns, "asymptotics", params,
@@ -413,13 +388,12 @@ def _cmd_optimize(ns) -> None:
     from .optimizer import OptimizerConfig, optimize
 
     _check_point_count(ns.n, "--n", MAX_OPTIMIZE_POINTS)
-    seed = _resolve_seed(ns)
     if ns.file is None:
         init = label = ns.init or "lattice"
     else:
-        init, label = tuple(read_configuration_csv(ns.file).points), "file"
+        init, label = tuple(read_configuration_csv(ns.file).points[:ns.n]), "file"
     cfg = OptimizerConfig(n=ns.n, p=ns.p, restarts=ns.restarts, max_iters=ns.max_iters,
-                          seed=seed, init=init)
+                          seed=ns.seed, init=init)
     result = optimize(cfg)
     if ns.trace:
         records = [{"iteration": iteration, "objective": objective}
@@ -430,7 +404,7 @@ def _cmd_optimize(ns) -> None:
     params = {"n": ns.n, "p": ns.p, "restarts": ns.restarts, "init": label,
               "file": ns.file, "max_iters": ns.max_iters}
     _emit(ns, "optimize", params,
-          _csv("re,im", ((z.real, z.imag) for z in result.best.points)), seed)
+          _csv("re,im", ((z.real, z.imag) for z in result.best.points)), ns.seed)
 
 
 def reproduce_rows(n: int) -> list[dict]:

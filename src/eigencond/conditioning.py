@@ -246,6 +246,10 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
     Trial t draws E from the stream default_rng((seed, t)), so no two seeds
     share a trial.
 
+    The trials run on A prescaled by an exact power of two 2^s, whose
+    eigenvalues, gaps and norm stay in the float range wherever ||A|| falls:
+    shift_ratio is the same for A and 2^k A, and angle_ratio scales exactly.
+
     Requires eps <= min_gap / (10*||A||) so the matching is unambiguous.
     """
     if norm_kind not in ("frob", "op"):
@@ -257,8 +261,13 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
     if trials < 1:
         raise UsageError("at least one trial is required")
     m = as_matrix(a, square=True)
-    base = condition_report(m)
-    n = m.shape[0]
+    ms, s = prescale(m)
+    try:
+        base = condition_report(ms)  # ms = A * 2^s is its own prescaled form
+    except ClusteredSpectrumError:
+        condition_report(m)  # the same error, naming the eigenvalues of A
+        raise
+    n = ms.shape[0]
     lams = np.array([row.eigenvalue for row in base.per_eigenpair])
     vecs = np.stack([row.x for row in base.per_eigenpair], axis=1)
     norm_scale = base.norm_frob if norm_kind == "frob" else base.norm_op
@@ -275,13 +284,15 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
         rng = np.random.default_rng((seed, t))
         e = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
         e /= frobenius_norm(e) if norm_kind == "frob" else operator_norm(e)
-        w, v = np.linalg.eig(m + scale * e)
+        w, v = np.linalg.eig(ms + scale * e)
         match = _match_eigenvalues(lams, w, min_gap)
         if match is None:
             excluded += 1
             continue
-        for i, j in enumerate(match):
-            shift_max[i] = max(shift_max[i], abs(w[j] - lams[i]))
+        # np.hypot rounds as Python's complex abs does; np.abs on a complex
+        # array can differ from both in the last bits
+        d = w[match] - lams
+        np.maximum(shift_max, np.hypot(d.real, d.imag), out=shift_max)
         # theta = atan2(||x_hat - x (x^H x_hat)||, |x^H x_hat|) resolves small
         # angles, which acos(|x^H x_hat|) loses below ~1e-8
         xh = v[:, match]
@@ -289,11 +300,14 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
         overlap = np.sum(vecs.conj() * xh, axis=0)
         sine = np.linalg.norm(xh - vecs * overlap, axis=0)
         np.maximum(angle_max, np.arctan2(sine, np.abs(overlap)), out=angle_max)
-    rows = [PerturbationRow(eigenvalue=complex(lams[i]),
-                            kappa_lambda=base.per_eigenpair[i].kappa_lambda,
-                            kappa_x=base.per_eigenpair[i].kappa_x,
-                            shift_ratio=shift_max[i] / scale,
-                            angle_ratio=angle_max[i] / scale)
-            for i in range(n)]
+    # scale = eps * ||A|| * 2^s; the angles are scale-free, so their ratio
+    # to eps * ||A|| is 2^s times theirs to scale
+    eigenvalues = pow2_scale(lams, -s).tolist()
+    shift_ratio = (shift_max / scale).tolist()
+    angle_ratio = pow2_scale(angle_max / scale, s).tolist()
+    rows = [PerturbationRow(eigenvalue=eigenvalues[i], kappa_lambda=row.kappa_lambda,
+                            kappa_x=float(pow2_scale(row.kappa_x, s)),
+                            shift_ratio=shift_ratio[i], angle_ratio=angle_ratio[i])
+            for i, row in enumerate(base.per_eigenpair)]
     return PerturbationResult(rows=rows, trials=trials, excluded_trials=excluded,
                               epsilon=epsilon, norm_kind=norm_kind, seed=seed)

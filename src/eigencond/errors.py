@@ -11,8 +11,9 @@ configuration file, and none of them prints a result row:
 - `cond --diag` raises DuplicatePointsError (exit 2);
 - `perturb --diag` builds Diag(z), whose spectrum is clustered, and raises
   ClusteredSpectrumError (exit 2);
-- `asymptotics --file` raises DuplicatePointsError (exit 2) when a
-  requested prefix of the file holds a repeated point;
+- `asymptotics --file` raises DuplicatePointsError (exit 2), from
+  `extremal.convergence_study`, when a requested prefix of the file holds a
+  repeated point;
 - `optimize --file` raises NumericalError (exit 2): the soft gap of the
   start is undefined.
 

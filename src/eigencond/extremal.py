@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, UsageError
+from .errors import DuplicatePointsError, NumericalError, UsageError
 from .lattice import Configuration, first_n_lattice_points
 from .shells import (_growth_scale, _validate_p, lattice_prefix_functionals,
                      proposition_constant)
@@ -76,12 +76,16 @@ class AsymptoticRow:
 
 
 def convergence_study(p, n_values: Sequence[int],
-                      generator: Callable[[int], Configuration] | None = None,
+                      points: Sequence[complex] | np.ndarray | None = None,
                       ) -> list[AsymptoticRow]:
-    """Evaluate S_p over a generator at increasing n, normalized by the growth scale.
+    """Evaluate S_p on the first n points at increasing n, normalized by the growth scale.
 
-    Without a generator the lattice prefix is used; at p = 2 and inf its
-    functional comes from lattice_prefix_functionals, with no enumeration.
+    points are a configuration's points in their given order; each row takes
+    the first n of them.  Asking for more points than given is bad input,
+    rejected before any work, and a prefix holding coincident points raises
+    DuplicatePointsError.  Without points the lattice prefix is used; at
+    p = 2 and inf its functional comes from lattice_prefix_functionals, with
+    no enumeration.
     """
     p = _validate_p(p)
     ns = [int(v) for v in n_values]
@@ -91,15 +95,20 @@ def convergence_study(p, n_values: Sequence[int],
         raise UsageError("n_values must be strictly increasing")
     if ns[0] < 2:
         raise UsageError("the separation functional needs at least two points")
-    gen = first_n_lattice_points if generator is None else generator
+    if points is not None and ns[-1] > len(points):
+        raise UsageError(f"the configuration has {len(points)} points, need {ns[-1]}")
     target = proposition_constant(p)
     rows = []
-    exact = generator is None and p in (2.0, math.inf)
     for n in ns:
-        if exact:
+        if points is not None:
+            config = Configuration(points[:n])
+            if config.min_separation == 0.0:
+                raise DuplicatePointsError(f"the first {n} points are not pairwise distinct")
+            raw = separation_functional(config, p)
+        elif p in (2.0, math.inf):
             raw = lattice_prefix_functionals(n)[0 if p == 2.0 else 1]
         else:
-            raw = separation_functional(gen(n), p)
+            raw = separation_functional(first_n_lattice_points(n), p)
         scale = _growth_scale(n, p)
         rows.append(AsymptoticRow(n=n, raw=raw, scale=scale, ratio=raw / scale,
                                   target=target))

@@ -81,7 +81,7 @@ def test_criterion_3_general_p_constants(lattice_10k):
     details = []
     ok = True
     for p in (1.0, 2.0, 4.0):
-        (row,) = convergence_study(p, [10_000], generator=lambda _: lattice_10k)
+        (row,) = convergence_study(p, [10_000], points=lattice_10k.points)
         deviation = abs(row.ratio - row.target) / row.target
         ok = ok and deviation < 0.05
         details.append(f"p={p:g}: ratio {row.ratio:.6f} vs {row.target:.6f} "

@@ -141,6 +141,11 @@ def inputs(tmp_path):
     ("asymptotics --p 2 --n-list 2 --file latin1.csv", 1, "'utf-8' codec can't decode"),
     ("optimize --n 3 --file latin1.csv", 1, "'utf-8' codec can't decode"),
     ("optimize --n 3 --p 0", 1, "p must be positive"),
+    ("optimize --n 4 --file three.csv", 1, "init has 3 points, expected n=4"),
+    ("asymptotics --p 2 --n-list 2,4 --file three.csv", 1,
+     "the configuration has 3 points, need 4"),
+    ("asymptotics --p 2 --n-list 2,3 --file dup.csv", 2,
+     "the first 3 points are not pairwise distinct"),
     ("cond short.mat", 1, "expected 4 entry lines, found 3"),
     ("cond nan.mat", 1, "matrix entries must be finite"),
     ("cond accent.mat", 1, "'ascii' codec can't decode"),

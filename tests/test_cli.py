@@ -217,18 +217,23 @@ class TestPerturbCommand:
     def test_seed_flag_beats_environment(self, capsys, diag012_file, monkeypatch):
         _, with_flag, _ = run_cli(capsys, "perturb", diag012_file, "--eps", "1e-6",
                                   "--trials", "5", "--seed", "9")
-        monkeypatch.setenv("EIGENCOND_SEED", "9")
-        _, with_env, _ = run_cli(capsys, "perturb", diag012_file, "--eps", "1e-6",
-                                 "--trials", "5")
         monkeypatch.setenv("EIGENCOND_SEED", "1234")
         _, env_loses, _ = run_cli(capsys, "perturb", diag012_file, "--eps", "1e-6",
                                   "--trials", "5", "--seed", "9")
-        assert with_flag == with_env == env_loses
+        assert with_flag == env_loses
 
-    def test_bad_environment_seed(self, capsys, diag012_file, monkeypatch):
-        monkeypatch.setenv("EIGENCOND_SEED", "not-a-seed")
-        code, _, err = run_cli(capsys, "perturb", diag012_file, "--eps", "1e-6")
-        assert code == 1 and "EIGENCOND_SEED" in err
+    @pytest.mark.parametrize("argv", [
+        ("perturb", "{mat}", "--eps", "1e-6", "--trials", "5"),
+        ("optimize", "--n", "4", "--init", "random", "--max-iters", "3"),
+    ], ids=["perturb", "optimize"])
+    def test_environment_seed_is_ignored(self, capsys, diag012_file, monkeypatch, argv):
+        # --seed, default 0, is the only seed source
+        argv = [arg.format(mat=diag012_file) for arg in argv]
+        code, seed_0, err = run_cli(capsys, *argv, "--seed", "0")
+        assert code == 0 and json.loads(err)["seed"] == 0
+        for env_seed in ("5", "not-a-seed", "-1"):
+            monkeypatch.setenv("EIGENCOND_SEED", env_seed)
+            assert run_cli(capsys, *argv) == (0, seed_0, err)
 
     def test_oversized_epsilon_exit_2(self, capsys, diag012_file):
         code, _, err = run_cli(capsys, "perturb", diag012_file, "--eps", "0.5")
@@ -331,6 +336,23 @@ class TestOptimizeCommand:
         code, out, _ = run_cli(capsys, "optimize", "--n", "4",
                                "--file", str(config_csv), "--max-iters", "20")
         assert code == 0
+
+    def test_file_start_takes_the_first_n_points(self, capsys, tmp_path):
+        # the rule of asymptotics --file: a longer file gives its first n
+        # points, the same run as a file holding only those
+        five, three = tmp_path / "five.csv", tmp_path / "three.csv"
+        run_cli(capsys, "lattice", "--n", "5", "--output", str(five))
+        run_cli(capsys, "lattice", "--n", "3", "--output", str(three))
+        runs = [run_cli(capsys, "optimize", "--n", "3", "--file", str(path),
+                        "--max-iters", "20") for path in (five, three)]
+        assert [code for code, _, _ in runs] == [0, 0]
+        assert runs[0][1] == runs[1][1] and len(runs[0][1].splitlines()) == 4
+        manifests = [json.loads(err) for _, _, err in runs]
+        assert manifests[0]["parameters"]["file"] == str(five)
+        manifests[0]["parameters"]["file"] = str(three)
+        assert manifests[0] == manifests[1]
+        code, out, err = run_cli(capsys, "optimize", "--n", "4", "--file", str(three))
+        assert (code, out) == (1, "") and "init has 3 points, expected n=4" in err
 
     def test_deterministic_output(self, capsys):
         args = ("optimize", "--n", "3", "--init", "random", "--seed", "2",
@@ -603,9 +625,7 @@ class TestRepeatedRuns:
     def test_runs_in_one_process_keep_no_state(self, capsys, tmp_path, monkeypatch):
         # one process: optimize with --trace and --seed, then runs without
         # them; each manifest equals the one a fresh process writes
-        monkeypatch.delenv("EIGENCOND_SEED", raising=False)
-        env = {k: v for k, v in os.environ.items() if k != "EIGENCOND_SEED"}
-        env["PYTHONPATH"] = REPO_SRC
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
         trace = str(tmp_path / "trace.jsonl")
         runs = (["optimize", "--n", "6", "--max-iters", "5", "--trace", trace, "--seed", "3"],
                 ["reproduce", "--n", "200"],
@@ -632,33 +652,28 @@ class TestRepeatedRuns:
         # the same mixed sequence twice, with main's parser reused and with
         # one built afresh for every call: stdout, stderr, exit codes and
         # written files must match byte for byte
-        runs = [(None, ["reproduce", "--n", "5000"]),
-                (None, ["asymptotics", "--p", "2", "--n-list", "2,50,2921"]),
-                (None, ["lattice", "--n", "60", "--output", "lat.csv"]),
-                (None, ["cond", "--diag", "lat.csv", "--manifest", "man.json"]),
-                (None, ["optimize", "--n", "6", "--init", "random", "--max-iters", "5",
-                        "--seed", "3", "--trace", "trace.jsonl"]),
-                (None, ["lattice", "--n", "5", "--bogus"]),
-                (None, ["reproduce", "--help"]),
-                ("3", ["optimize", "--n", "5", "--init", "random", "--max-iters", "4"]),
-                ("8", ["optimize", "--n", "5", "--init", "random", "--max-iters", "4"]),
-                (None, ["reproduce", "--n", "100", "--output", "rep.csv"]),
-                (None, ["reproduce", "--n", "100"]),
-                (None, ["asymptotics", "--p", "inf", "--n-list", "7,5579",
-                        "--output", "asy.csv"]),
-                (None, ["asymptotics", "--p", "inf", "--n-list", "7,5579"]),
-                (None, ["cond", "--diag", "missing.csv"]),
-                (None, ["--version"])]
+        runs = [["reproduce", "--n", "5000"],
+                ["asymptotics", "--p", "2", "--n-list", "2,50,2921"],
+                ["lattice", "--n", "60", "--output", "lat.csv"],
+                ["cond", "--diag", "lat.csv", "--manifest", "man.json"],
+                ["optimize", "--n", "6", "--init", "random", "--max-iters", "5",
+                 "--seed", "3", "--trace", "trace.jsonl"],
+                ["lattice", "--n", "5", "--bogus"],
+                ["reproduce", "--help"],
+                ["optimize", "--n", "5", "--init", "random", "--max-iters", "4", "--seed", "3"],
+                ["optimize", "--n", "5", "--init", "random", "--max-iters", "4", "--seed", "8"],
+                ["reproduce", "--n", "100", "--output", "rep.csv"],
+                ["reproduce", "--n", "100"],
+                ["asymptotics", "--p", "inf", "--n-list", "7,5579", "--output", "asy.csv"],
+                ["asymptotics", "--p", "inf", "--n-list", "7,5579"],
+                ["cond", "--diag", "missing.csv"],
+                ["--version"]]
 
         def sequence(directory):
             directory.mkdir()
             monkeypatch.chdir(directory)
             record = []
-            for env_seed, argv in runs:
-                if env_seed is None:
-                    monkeypatch.delenv("EIGENCOND_SEED", raising=False)
-                else:
-                    monkeypatch.setenv("EIGENCOND_SEED", env_seed)
+            for argv in runs:
                 try:
                     code = main(argv)
                 except SystemExit as exc:
@@ -675,7 +690,7 @@ class TestRepeatedRuns:
         assert reused == fresh
         codes = [code for _, code, _, _ in reused[0]]
         assert codes.count(1) == 2 and codes.count(("exit", 0)) == 2
-        assert reused[0][7][2] != reused[0][8][2]  # stdout under EIGENCOND_SEED 3 and 8
+        assert reused[0][7][2] != reused[0][8][2]  # stdout under --seed 3 and 8
         assert sorted(reused[1]) == ["asy.csv", "lat.csv", "man.json", "rep.csv",
                                      "trace.jsonl"]
 
@@ -921,21 +936,22 @@ def test_version_flag():
 @pytest.mark.parametrize("args, message", [
     (("optimize", "--n", "3", "--init", "random", "--file", "{csv}"),
      "argument --file: not allowed with argument --init"),
-    (("cond", "{mat}", "--diag", "{csv}"), "argument --diag: not allowed with argument matrix"),
-    (("cond",), "one of the arguments matrix --diag is required"),
-    (("perturb", "{mat}", "--diag", "{csv}", "--eps", "1e-6"),
-     "argument --diag: not allowed with argument matrix"),
-    (("perturb", "--eps", "1e-6"), "one of the arguments matrix --diag is required"),
+    (("cond", "{mat}", "--diag", "{csv}"), "unrecognized arguments: {csv}"),
+    (("cond",), "the following arguments are required: FILE"),
+    (("perturb", "{mat}", "--diag", "{csv}", "--eps", "1e-6"), "unrecognized arguments: {csv}"),
+    (("perturb", "--eps", "1e-6"), "the following arguments are required: FILE"),
+    (("cond", "--diag={csv}"), "argument --diag: ignored explicit argument '{csv}'"),
     (("asymptotics", "--p", "2", "--n-list", "2,3", "--generator", "file", "--file", "{csv}"),
      "unrecognized arguments: --generator file"),
     (("optimize", "--n", "3", "--init", "file", "--file", "{csv}"),
      "argument --init: invalid choice: 'file'"),
     (("lattice", "--n", "3", "--open"), "--open requires --r"),
 ], ids=["optimize-file", "cond-both", "cond-none", "perturb-both", "perturb-none",
-        "asymptotics-generator-file", "optimize-init-file", "lattice-open"])
+        "cond-diag-value", "asymptotics-generator-file", "optimize-init-file",
+        "lattice-open"])
 def test_ignored_flag_exit_1(capsys, tmp_path, monkeypatch, args, message):
-    # input sources that exclude each other, a missing source, a removed
-    # spelling and a flag the others would leave unused: each is rejected
+    # input sources that exclude each other, a missing source, removed
+    # spellings and a flag the others would leave unused: each is rejected
     # before any work
     def forbidden(*unused, **kwargs):
         raise AssertionError("work began despite a bad flag relation")
@@ -948,7 +964,7 @@ def test_ignored_flag_exit_1(capsys, tmp_path, monkeypatch, args, message):
         monkeypatch.setattr(module, name, forbidden)
     mat = tmp_path / "a.mat"
     write_matrix(mat, np.diag([0.0, 1.0]).astype(complex))
-    argv = [arg.format(csv=_write_config(tmp_path), mat=mat) for arg in args]
-    code, out, err = run_cli(capsys, *argv)
+    files = {"csv": _write_config(tmp_path), "mat": mat}
+    code, out, err = run_cli(capsys, *(arg.format(**files) for arg in args))
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert err.startswith(f"error: {message.format(**files)}") and err.count("\n") == 1

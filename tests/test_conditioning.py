@@ -18,7 +18,7 @@ from eigencond.cli import main
 from eigencond.errors import ClusteredSpectrumError, DuplicatePointsError, NumericalError
 from eigencond.extremal import separation_functional
 from eigencond.lattice import Configuration, first_n_lattice_points
-from eigencond.linalg import (locate_eigenpair, right_eigenvector,
+from eigencond.linalg import (locate_eigenpair, pow2_scale, prescale, right_eigenvector,
                               right_left_eigenpair, write_matrix)
 
 EPS = float(np.finfo(float).eps)
@@ -439,6 +439,16 @@ class TestPerturbationExperiment:
         with pytest.raises(ClusteredSpectrumError):
             perturbation_experiment(np.eye(2, dtype=complex), 1e-8)
 
+    def test_clustered_error_names_the_eigenvalues_of_a(self):
+        # the trials run on A / 16 here; the error reports A's values
+        a = np.diag([0.0, 8.0, 8.0]).astype(complex)
+        with pytest.raises(ClusteredSpectrumError) as trials_error:
+            perturbation_experiment(a, 1e-8)
+        with pytest.raises(ClusteredSpectrumError) as report_error:
+            condition_report(a)
+        assert trials_error.value.cluster == (8.0, 8.0)
+        assert str(trials_error.value) == str(report_error.value)
+
     def test_too_large_epsilon_is_rejected(self):
         a = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(ValueError):
@@ -477,6 +487,67 @@ class TestPerturbationExperiment:
                        for eps in (1e-9, 1e-7))
         for r9, r7 in zip(tiny.rows, small.rows):
             assert r9.angle_ratio == pytest.approx(r7.angle_ratio, rel=1e-4)
+
+    @given(st.integers(min_value=-1000, max_value=1000))
+    def test_power_of_two_scaling_is_exact(self, k):
+        # the trials run on the prescaled matrix, which 2^k A shares with A:
+        # shift ratios keep their bits, and angle ratios scale by exactly 2^-k
+        a = np.diag(first_n_lattice_points(12).points)
+        base = perturbation_experiment(a, 1e-6, trials=20, seed=1)
+        scaled = perturbation_experiment(pow2_scale(a, k), 1e-6, trials=20, seed=1)
+        assert scaled.excluded_trials == base.excluded_trials == 0
+        for r0, r1 in zip(base.rows, scaled.rows):
+            assert r1.shift_ratio == r0.shift_ratio
+            assert pow2_scale(r1.angle_ratio, k) == r0.angle_ratio
+            assert r1.eigenvalue == complex(pow2_scale(r0.eigenvalue, k))
+            assert r1.kappa_x == math.ldexp(r0.kappa_x, -k)
+
+    def test_shifts_match_the_scalar_loop(self, monkeypatch):
+        # the array maximum of np.hypot gives the bits of the per-eigenvalue
+        # loop max(shift, abs(w[j] - lam)) that it replaced
+        a = dense_matrix("ginibre", 12, 5)
+        trials = []
+        match = eigencond.conditioning._match_eigenvalues
+
+        def recording(lams, w, min_gap):
+            trials.append((lams, w, match(lams, w, min_gap)))
+            return trials[-1][2]
+
+        monkeypatch.setattr(eigencond.conditioning, "_match_eigenvalues", recording)
+        result = perturbation_experiment(a, 1e-8, trials=20, seed=2)
+        shift = [0.0] * 12
+        for lams, w, matched in trials:
+            for i, j in enumerate(matched):
+                shift[i] = max(shift[i], abs(w[j] - lams[i]))
+        scale = 1e-8 * float(np.linalg.norm(prescale(a)[0]))
+        assert result.excluded_trials == 0
+        assert [row.shift_ratio for row in result.rows] == [x / scale for x in shift]
+
+    @pytest.mark.parametrize("diagonal", [[1e-320, 0.0], [1e308, -1e308]],
+                             ids=["subnormal", "huge"])
+    def test_norms_beyond_the_float_range(self, diagonal):
+        # ||A||, min_gap and eps*||A|| of these lose their bits or overflow;
+        # those of the prescaled matrix cannot, so every trial counts and the
+        # shift ratios obey kappa_lambda = 1
+        result = perturbation_experiment(np.diag(diagonal), 1e-6, trials=20, seed=1)
+        assert result.excluded_trials == 0
+        for row in result.rows:
+            assert 0.0 < row.shift_ratio <= 1.0 + 1e-4
+            assert not math.isnan(row.angle_ratio)
+
+    @pytest.mark.parametrize("k", [1020, -1040, -1060])
+    def test_scalings_that_overflow_or_round(self, k):
+        # 2^1020 A has ||A|| near the top of the float range; below 2^-1022
+        # the entries round to subnormals, which can reorder equal moduli, so
+        # rows are matched by eigenvalue and agree only to the first order
+        a = np.diag(first_n_lattice_points(12).points)
+        base = perturbation_experiment(a, 1e-6, trials=20, seed=1)
+        scaled = perturbation_experiment(pow2_scale(a, k), 1e-6, trials=20, seed=1)
+        assert scaled.excluded_trials == 0
+        values = np.array([row.eigenvalue for row in base.rows])
+        for row in scaled.rows:
+            i = np.argmin(np.abs(values - pow2_scale(row.eigenvalue, -k)))
+            assert row.shift_ratio == pytest.approx(base.rows[i].shift_ratio, rel=1e-3)
 
     def test_deterministic_given_seed(self):
         a = np.diag([0.0, 1.0, 3.0]).astype(complex)

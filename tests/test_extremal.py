@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distinct_points
+from eigencond import extremal
 from eigencond.conditioning import condition_report_diagonal
-from eigencond.errors import NumericalError, UsageError
+from eigencond.errors import DuplicatePointsError, NumericalError, UsageError
 from eigencond.extremal import (_growth_scale, convergence_study, modulus_p_norm,
                                 proposition_constant, separation_functional)
 from eigencond.lattice import Configuration, first_n_lattice_points
@@ -133,16 +134,29 @@ class TestConvergenceStudy:
         assert devs[0] < 0.01
         assert devs[1] < devs[0]
 
-    def test_custom_generator(self):
-        calls = []
+    def test_configuration_points(self):
+        # each row takes the first n points in their given order
+        points = first_n_lattice_points(20).points[::-1]
+        rows = convergence_study(INF, [10, 20], points=points)
+        for row, n in zip(rows, (10, 20)):
+            assert row.raw == separation_functional(Configuration(points[:n]), INF)
+            assert row.ratio == row.raw / row.scale
 
-        def gen(n):
-            calls.append(n)
-            return first_n_lattice_points(n)
+    def test_short_configuration_is_rejected_before_any_work(self, monkeypatch):
+        def forbidden(*unused):
+            raise AssertionError("a row was computed")
 
-        rows = convergence_study(INF, [10, 20], generator=gen)
-        assert calls == [10, 20]
-        assert all(math.isfinite(r.ratio) for r in rows)
+        monkeypatch.setattr(extremal, "separation_functional", forbidden)
+        with pytest.raises(UsageError, match="the configuration has 3 points, need 4"):
+            convergence_study(2.0, [2, 4], points=[0.0, 1.0, 2.0])
+
+    def test_duplicate_prefix_raises(self):
+        points = [0.0, 1.0, 1.0, 2.0]
+        (row,) = convergence_study(2.0, [2], points=points)
+        assert math.isfinite(row.raw)
+        with pytest.raises(DuplicatePointsError,
+                           match="the first 3 points are not pairwise distinct"):
+            convergence_study(2.0, [2, 3], points=points)
 
     def test_rejects_bad_n_values(self):
         with pytest.raises(ValueError):
@@ -153,13 +167,18 @@ class TestConvergenceStudy:
             convergence_study(2.0, [200, 100])
 
     @pytest.mark.parametrize("n_values", [[-1, 2], [0, 5], [1, 5]])
-    def test_sizes_below_two_are_rejected_before_any_generator_call(self, n_values):
+    def test_sizes_below_two_are_rejected_before_any_generator_call(self, n_values,
+                                                                     monkeypatch):
+        # neither source, the lattice nor given points, builds a configuration
         def never(n):
-            raise AssertionError(f"generator called with n = {n}")
+            raise AssertionError(f"a configuration was built for n = {n}")
 
-        for generator in (never, None):
+        monkeypatch.setattr(extremal, "Configuration", never)
+        monkeypatch.setattr(extremal, "first_n_lattice_points", never)
+        monkeypatch.setattr(extremal, "lattice_prefix_functionals", never)
+        for points in ([0.0, 1.0, 2.0, 3.0, 4.0], None):
             with pytest.raises(UsageError, match="at least two points"):
-                convergence_study(2.0, n_values, generator=generator)
+                convergence_study(2.0, n_values, points=points)
 
 
 class TestConvergenceMargin:
@@ -168,7 +187,7 @@ class TestConvergenceMargin:
 
     @staticmethod
     def row(config, p=2.0):
-        (row,) = convergence_study(p, [config.n], generator=lambda n: config)
+        (row,) = convergence_study(p, [config.n], points=config.points)
         return row
 
     def test_antipodal_pair(self):
@@ -211,7 +230,7 @@ class TestFloatRange:
         with pytest.raises(NumericalError):
             _growth_scale(2, 0.0005)
         with pytest.raises(NumericalError):
-            convergence_study(0.0005, [2], generator=lambda n: pair)
+            convergence_study(0.0005, [2], points=pair.points)
 
     def test_p_whose_reciprocal_overflows(self):
         # 1/p is inf below about 5.6e-309, where float ** inf returns inf

@@ -1,0 +1,123 @@
+"""Bounded fuzz test of the CLI: seeded argument lists over every subcommand
+and a fixed corpus of malformed and extreme files must follow the exit-code
+rule and never print a nan cell."""
+
+import random
+
+import numpy as np
+import pytest
+
+from eigencond.cli import main
+from eigencond.lattice import first_n_lattice_points
+from eigencond.linalg import write_matrix
+
+CALLS_PER_SUBCOMMAND = 25
+
+CSV_FILES = {
+    "empty.csv": b"",
+    "header.csv": b"re,im\n",
+    "latin1.csv": b"re,im\n0.0,0.0\n1.0,0.0\xe9\n",
+    "bom.csv": b"\xef\xbb\xbfre,im\n0,0\n1,0\n",
+    "nan.csv": b"re,im\n0,0\nnan,1\n",
+    "inf.csv": b"re,im\n0,0\n1,-inf\n",
+    "subnormal.csv": b"re,im\n1e-320,0\n0,0\n",
+    "huge.csv": b"re,im\n1e308,0\n-1e308,0\n",
+    "dup.csv": b"re,im\n0,0\n1,0\n1,0\n2,0\n",
+    "short_row.csv": b"re,im\n0,0\n1\n",
+    "one.csv": b"re,im\n1,1\n",
+}
+
+MATRICES = {
+    "diag.mat": np.diag([0.0, 1.0, 2.0]),
+    "ginibre.mat": np.random.default_rng(0).standard_normal((6, 6)),
+    "subnormal.mat": np.diag([1e-320, 0.0]),
+    "huge.mat": np.diag([1e308, -1e308]),
+    "one.mat": np.array([[2.0]]),
+}
+
+MATRIX_TEXTS = {
+    "wrong_count.mat": b"2\n1 0\n0 0\n0 0\n",
+    "nan.mat": b"2\n1 0\n0 0\n0 0\nnan 0\n",
+    "latin1.mat": b"2\n1 0\n0 0\n0 0\n1 0\xe9\n",
+    "empty.mat": b"",
+}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """(csvs, mats): the good and the bad configuration CSVs and matrix files."""
+    root = tmp_path_factory.mktemp("corpus")
+    for name, data in {**CSV_FILES, **MATRIX_TEXTS}.items():
+        (root / name).write_bytes(data)
+    for name, a in MATRICES.items():
+        write_matrix(root / name, a.astype(complex))
+    lattice = first_n_lattice_points(20).points.tolist()
+    (root / "lattice20.csv").write_text(
+        "re,im\n" + "".join(f"{z.real!r},{z.imag!r}\n" for z in lattice))
+
+    def split(names, good):
+        return ([str(root / name) for name in names if name in good],
+                [str(root / name) for name in names if name not in good])
+
+    csvs = split(sorted(CSV_FILES) + ["lattice20.csv"],
+                 {"lattice20.csv", "subnormal.csv", "huge.csv"})
+    mats = split(sorted(MATRICES) + sorted(MATRIX_TEXTS),
+                 {"diag.mat", "ginibre.mat", "subnormal.mat", "huge.mat"})
+    return csvs, mats
+
+
+def _pick(rng, good, bad):
+    """A good value three times in four, else a bad one."""
+    return rng.choice(good if rng.random() < 0.75 else bad)
+
+
+def _maybe(rng, *args):
+    return list(args) if rng.random() < 0.5 else []
+
+
+def _argv(subcommand, rng, csvs, mats):
+    """One argument list from the small grammar of subcommand."""
+    if subcommand == "lattice":
+        size = (["--n", _pick(rng, ["1", "7", "20"], ["0", "-3", "x"])] if rng.random() < 0.5
+                else ["--r", _pick(rng, ["0", "2.5", "3"], ["-1", "nan", "inf"])])
+        return ["lattice", *size, *_maybe(rng, "--open")]
+    if subcommand in ("cond", "perturb"):
+        diag = rng.random() < 0.5
+        argv = [subcommand, _pick(rng, *(csvs if diag else mats)), *(["--diag"] if diag else [])]
+        if subcommand == "perturb":
+            argv += ["--eps", _pick(rng, ["1e-6", "1e-3", "1e-12"], ["0.5", "0", "-1", "nan"]),
+                     "--trials", rng.choice(["1", "3", "5"]),
+                     *_maybe(rng, "--norm", rng.choice(["frob", "op"])),
+                     *_maybe(rng, "--seed", rng.choice(["0", "7"]))]
+        return argv
+    if subcommand == "asymptotics":
+        return ["asymptotics",
+                "--p", _pick(rng, ["1", "2", "4", "inf"], ["0", "-2", "nan", "0.001", "1e-320"]),
+                "--n-list", _pick(rng, ["2,3", "3,7,20", "2", "5,12"], ["1,5", "20,5", "2,21"]),
+                *_maybe(rng, "--file", _pick(rng, *csvs))]
+    if subcommand == "optimize":
+        start = rng.choice([[], ["--init", rng.choice(["lattice", "random"])],
+                            ["--file", _pick(rng, *csvs)]])
+        return ["optimize", "--n", _pick(rng, ["2", "3", "5", "12", "20"], ["0", "1"]),
+                "--p", _pick(rng, ["2", "4", "inf"], ["0", "nan", "0.001"]), *start,
+                "--max-iters", rng.choice(["1", "3"]), *_maybe(rng, "--restarts", "2"),
+                *_maybe(rng, "--seed", rng.choice(["0", "3"]))]
+    return ["reproduce", "--n", _pick(rng, ["100", "1000", "100000"], ["0", "50", "99", "abc"])]
+
+
+@pytest.mark.parametrize("subcommand", ["lattice", "cond", "perturb", "asymptotics",
+                                        "optimize", "reproduce"])
+def test_main_follows_the_exit_code_rule(capsys, corpus, subcommand):
+    rng = random.Random(subcommand)
+    for _ in range(CALLS_PER_SUBCOMMAND):
+        argv = _argv(subcommand, rng, *corpus)
+        code = main(argv)  # any exception, SystemExit included, fails the test
+        out, err = capsys.readouterr()
+        if code == 0:
+            cells = out.replace("\n", ",").split(",")
+            assert "nan" not in cells, argv
+        elif code == 1:
+            assert out == "" and err.startswith("error: "), (argv, err)
+        else:
+            assert code == 2, (argv, code)
+            assert out == "" and err.startswith("numerical error: "), (argv, err)
