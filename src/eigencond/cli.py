@@ -216,7 +216,7 @@ def read_configuration_csv(path) -> Configuration:
     from .lattice import Configuration
 
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader
                     if row and any(cell.strip() for cell in row)]

@@ -58,10 +58,12 @@ def separation_functional(c: Configuration, p) -> float:
     p = _validate_p(p)
     if c.n < 2:
         raise UsageError("the separation functional needs at least two points")
-    gap = c.min_separation
+    # both terms in the prescaled frame: the ratio is scale-free, and there
+    # no gap or modulus leaves the float range
+    gap = c.scaled_min_separation
     if gap == 0.0:
         return math.inf
-    return modulus_p_norm(np.abs(c.points), p) / gap
+    return modulus_p_norm(np.abs(c.prescaled[0]), p) / gap
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
+from .linalg import pow2_scale, prescale
 from .shells import (_CELL_RADIUS, _MAX_SHELL_BOUND, CELL_AREA,  # noqa: F401
                      _disk_rows, _shell_sums, lattice_prefix_sums)
 
@@ -143,6 +144,10 @@ def pairwise_min_separation(points) -> float:
 class Configuration:
     """Immutable finite multiset of complex points with a cached minimum separation.
 
+    Gaps are measured on the points prescaled by an exact power of two
+    (linalg.prescale), where no difference of two points can overflow;
+    min_separation and nearest_neighbor_distances map them back exactly
+    with pow2_scale, and only that last step can leave the float range.
     The cache is computed on first access from nearest_neighbor_distances;
     constructors that know the separation analytically (the lattice prefix)
     may pass it in.  Values are safe to share across threads.
@@ -156,11 +161,14 @@ class Configuration:
             raise UsageError("configuration points must be finite")
         pts.setflags(write=False)
         self._points = pts
+        self._scaled, self._exp = prescale(pts)
+        self._scaled.setflags(write=False)
         if min_separation is not None:
             min_separation = float(min_separation)
             if not (math.isfinite(min_separation) and min_separation >= 0.0):
                 raise UsageError("min_separation must be finite and nonnegative")
-        self._min_sep = min_separation
+            min_separation = float(pow2_scale(min_separation, self._exp))
+        self._scaled_gap = min_separation
 
     @property
     def points(self) -> np.ndarray:
@@ -174,20 +182,35 @@ class Configuration:
         return self._points.size
 
     @property
-    def min_separation(self) -> float:
-        """Minimum pairwise distance; defined only for n >= 2."""
-        if self._min_sep is None:
+    def prescaled(self) -> tuple[np.ndarray, int]:
+        """(points * 2^s, s), the largest |re| or |im| of a point in [1/2, 1)."""
+        return self._scaled, self._exp
+
+    @property
+    def scaled_min_separation(self) -> float:
+        """Minimum pairwise distance of the prescaled points; defined only for n >= 2."""
+        if self._scaled_gap is None:
             if self.n < 2:
                 raise UsageError("min_separation is undefined for a single point")
-            self._min_sep = pairwise_min_separation(self._points)
-        return self._min_sep
+            self._scaled_gap = pairwise_min_separation(self._scaled)
+        return self._scaled_gap
+
+    @property
+    def min_separation(self) -> float:
+        """Minimum pairwise distance; defined only for n >= 2."""
+        return float(pow2_scale(self.scaled_min_separation, -self._exp))
+
+    def scaled_nearest_neighbor_distances(self) -> np.ndarray:
+        """nearest_neighbor_distances of the prescaled points; fills an empty
+        separation cache."""
+        nnd = nearest_neighbor_distances(self._scaled)
+        if self._scaled_gap is None:
+            self._scaled_gap = float(nnd.min())
+        return nnd
 
     def nearest_neighbor_distances(self) -> np.ndarray:
         """nearest_neighbor_distances of the points; fills an empty separation cache."""
-        nnd = nearest_neighbor_distances(self._points)
-        if self._min_sep is None:
-            self._min_sep = float(nnd.min())
-        return nnd
+        return pow2_scale(self.scaled_nearest_neighbor_distances(), -self._exp)
 
     def __repr__(self) -> str:
         return f"Configuration(n={self.n})"

@@ -157,12 +157,13 @@ def pow2_scale(z, e: int):
 
 
 def prescale(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """(m * 2^s, s) with the largest |re| or |im| of an entry in [1/2, 1).
+    """(m * 2^s, s) with the largest |re| or |im| of an entry of the matrix
+    or point array m in [1/2, 1).
 
     The factor is an exact power of two read off frexp, never off a norm
     that could overflow, so quantities computed from the scaled matrix map
     back by an exact ldexp and do not depend on where ||m|| falls in the
-    float range.  The zero matrix comes back with s = 0.
+    float range.  An all-zero m comes back with s = 0.
     """
     peak = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
     if peak == 0.0:

@@ -853,6 +853,15 @@ def test_configuration_csv_errors_exit_1(capsys, tmp_path, text, message):
     assert err == f"error: {path}: {message}\n"
 
 
+def test_byte_order_mark_is_not_part_of_the_header(capsys, tmp_path):
+    # spreadsheet programs start a UTF-8 CSV with the mark EF BB BF
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"re,im\n0,0\n1,0\n")
+    marked.write_bytes(b"\xef\xbb\xbfre,im\n0,0\n1,0\n")
+    outputs = [run_cli(capsys, "cond", str(path), "--diag")[:2] for path in (plain, marked)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def test_clustered_identity_error_is_bounded(capsys, tmp_path):
     # 300 equal eigenvalues make 44 850 close pairs; the message names ten
     path = tmp_path / "id.mat"

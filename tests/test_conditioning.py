@@ -11,17 +11,19 @@ from hypothesis import strategies as st
 import eigencond.conditioning
 from conftest import (random_distinct_points, random_unitary,
                       reference_match_eigenvalues, svd_condition_report)
+from reference import eigenvalue_shifts, eigenvalues
 from eigencond.conditioning import (condition_report, condition_report_diagonal,
                                     kappa_lambda, kappa_x,
                                     perturbation_experiment)
 from eigencond.cli import main
 from eigencond.errors import ClusteredSpectrumError, DuplicatePointsError, NumericalError
 from eigencond.extremal import separation_functional
-from eigencond.lattice import Configuration, first_n_lattice_points
+from eigencond.lattice import Configuration, first_n_lattice_points, pairwise_min_separation
 from eigencond.linalg import (locate_eigenpair, pow2_scale, prescale, right_eigenvector,
                               right_left_eigenpair, write_matrix)
 
 EPS = float(np.finfo(float).eps)
+U = EPS / 2.0  # unit roundoff
 
 
 def dense_matrix(family, n, seed):
@@ -419,6 +421,38 @@ class TestDiagonalFastPath:
             assert report.kappa_max_op == separation_functional(c, math.inf)
 
 
+    def test_points_near_the_top_of_the_float_range(self):
+        # z_1 - z_2 = 2e308 overflows; in the prescaled frame the gap and the
+        # moduli stay finite, and only the gap in the units of the points,
+        # min_separation, leaves the float range
+        c = Configuration([1e308, -1e308])
+        report = condition_report_diagonal(c)
+        assert report.kappa_max_frob == separation_functional(c, 2.0)
+        assert report.kappa_max_frob == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert report.kappa_max_op == separation_functional(c, math.inf) == 0.5
+        assert report.norm_frob == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+        for row in report.per_eigenpair:
+            assert row.kappa_x == pytest.approx(0.5e-308, rel=1e-12)
+        assert c.min_separation == math.inf
+
+    @given(st.integers(min_value=0, max_value=2 ** 20), st.integers(min_value=2, max_value=300),
+           st.integers(min_value=-1000, max_value=1000))
+    def test_power_of_two_scaling_keeps_the_bits(self, seed, n, k):
+        # dyadic coordinates in [-4, 4) at spacing 2^-18 stay normal under
+        # every 2^k here; both the <= 256-point scan and the k-d tree run
+        rng = np.random.default_rng(seed)
+        z = np.unique(rng.integers(-2 ** 20, 2 ** 20, n) + 1j * rng.integers(-2 ** 20, 2 ** 20, n))
+        z = np.ldexp(z.real, -18) + 1j * np.ldexp(z.imag, -18)
+        base, scaled = Configuration(z), Configuration(pow2_scale(z, k))
+        r0, rk = condition_report_diagonal(base), condition_report_diagonal(scaled)
+        assert (rk.kappa_max_frob, rk.kappa_max_op) == (r0.kappa_max_frob, r0.kappa_max_op)
+        for p in (2.0, 3.0, math.inf):
+            assert separation_functional(scaled, p) == separation_functional(base, p)
+        assert np.array_equal(scaled.nearest_neighbor_distances(),
+                              pow2_scale(base.nearest_neighbor_distances(), k))
+        assert scaled.min_separation == math.ldexp(base.min_separation, k)
+
+
 class TestPerturbationExperiment:
     def test_diagonal_first_order_law(self):
         a = np.diag([0.0, 1.0, 2.0]).astype(complex)
@@ -591,6 +625,142 @@ class TestPerturbationExperiment:
             perturbation_experiment(a, 1e-6, norm_kind="nuclear")
 
 
+def eigenbasis(a):
+    """(ms, base report, lams, X, X^-1) of A prescaled, as the perturbation
+    experiment builds them, with X^-1 = diag(1/(y_k^H x_k)) Y^H."""
+    ms, _ = prescale(a)
+    base = condition_report(ms)
+    lams = np.array([row.eigenvalue for row in base.per_eigenpair])
+    x = np.stack([row.x for row in base.per_eigenpair], axis=1)
+    yh = np.stack([row.y for row in base.per_eigenpair]).conj()
+    return ms, base, lams, x, yh / np.sum(yh * x.T, axis=1)[:, None]
+
+
+def trial_delta(n, scale, seed, t):
+    """scale * E of trial t of seed, drawn as the perturbation experiment
+    draws it (unit Frobenius norm)."""
+    rng = np.random.default_rng((seed, t))
+    e = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    e /= np.linalg.norm(e)
+    return scale * e
+
+
+def worst_residual(a1, w, v):
+    """max_k ||A' v_k - w_k v_k|| over unit columns v_k, in units of n u ||A'||_F."""
+    res = np.linalg.norm(a1 @ v - v * w, axis=0)
+    return float(res.max() / (a1.shape[0] * U * np.linalg.norm(a1)))
+
+
+def benchmark_eps(base, lams):
+    """eps of the dense benchmark's perturb operations: the matching bound
+    over 4, capped so that the first-order shift stays below 1e-4 of the gap."""
+    nf = base.norm_frob
+    gap = pairwise_min_separation(lams)
+    kappa = max(row.kappa_lambda for row in base.per_eigenpair)
+    return min(gap / (40.0 * nf), 1e-4 * gap / (nf * kappa))
+
+
+class TestRefinedTrials:
+    """Trials refine the base eigenpairs and keep them only under the
+    residual certificate ||A' x - mu x|| <= 4 n u ||A'||_F; others run eig."""
+
+    @pytest.mark.parametrize("family, seed, trial", [("ginibre", 1, 5), ("grcar", 2, 9)])
+    def test_eight_steps_and_a_certificate_of_four(self, monkeypatch, family, seed, trial):
+        # at 0.999 of the matching bound the expansion converges slowly:
+        # after eight steps these trials' worst residuals are 6.0 and 20 in
+        # units of n u ||A'||_F, above the certificate, and a ninth step
+        # brings them to 0.98 and 0.83.  So a looser certificate or a ninth
+        # step would keep them
+        ms, _, lams, x, x_inv = eigenbasis(dense_matrix(family, 12, seed))
+        delta = trial_delta(12, 0.999 * pairwise_min_separation(lams) / 10.0, 0, trial)
+        args = (ms + delta, delta, lams, x, x_inv)
+        refine = eigencond.conditioning._refined_eigenpairs
+        assert refine(*args) is None
+        monkeypatch.setattr(eigencond.conditioning, "_CERTIFY_C", math.inf)
+        assert worst_residual(args[0], *refine(*args)) > 4.0
+        monkeypatch.setattr(eigencond.conditioning, "_REFINE_STEPS", 9)
+        assert worst_residual(args[0], *refine(*args)) <= 1.0
+
+    @pytest.mark.parametrize("family", ["ginibre", "normal", "grcar"])
+    def test_benchmark_eps_needs_no_eig(self, monkeypatch, family):
+        eig_calls = []
+        real_eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: eig_calls.append(None) or real_eig(m))
+        for n in (12, 40):
+            a = dense_matrix(family, n, 0)
+            _, base, lams, _, _ = eigenbasis(a)
+            result = perturbation_experiment(a, benchmark_eps(base, lams), trials=20, seed=4)
+            assert result.excluded_trials == 0
+        assert eig_calls == []
+
+    def test_fallback_runs_on_a_real_input(self, monkeypatch):
+        # at 0.999 of the matching bound most Grcar trials fall back, some
+        # do not; the matcher runs once per trial on whichever eigenvalues
+        # the trial kept, every kept refinement meets the certificate, and
+        # the ratios agree with a run that takes eig on every trial
+        a = dense_matrix("grcar", 12, 2)
+        _, base, lams, _, _ = eigenbasis(a)
+        eps = 0.999 * pairwise_min_separation(lams) / (10.0 * base.norm_frob)
+        module = eigencond.conditioning
+        refine, match, real_eig = module._refined_eigenpairs, module._match_eigenvalues, np.linalg.eig
+        kept, eig_calls, matched = [], [], []
+
+        def refine_spy(a1, *args):
+            pairs = refine(a1, *args)
+            kept.append(None if pairs is None else worst_residual(a1, *pairs))
+            return pairs
+
+        monkeypatch.setattr(module, "_refined_eigenpairs", refine_spy)
+        monkeypatch.setattr(module, "_match_eigenvalues",
+                            lambda *args: matched.append(None) or match(*args))
+        monkeypatch.setattr(np.linalg, "eig", lambda m: eig_calls.append(None) or real_eig(m))
+        mixed = perturbation_experiment(a, eps, trials=30, seed=0)
+        certified = [r for r in kept if r is not None]
+        assert len(matched) == len(kept) == 30 and len(eig_calls) == 30 - len(certified)
+        assert 0 < len(certified) < 30 and max(certified) <= 4.0
+        monkeypatch.setattr(module, "_refined_eigenpairs", lambda *args: None)
+        every_eig = perturbation_experiment(a, eps, trials=30, seed=0)
+        assert mixed.excluded_trials == every_eig.excluded_trials
+        for r1, r2 in zip(mixed.rows, every_eig.rows):
+            assert r1.shift_ratio == pytest.approx(r2.shift_ratio, rel=1e-6)
+            assert r1.angle_ratio == pytest.approx(r2.angle_ratio, rel=1e-6)
+
+    def test_infinite_kappa_lambda_runs_eig(self, monkeypatch):
+        # no inverse eigenbasis without every overlap y^H x: this Jordan-like
+        # matrix (superdiagonal ones, diagonal spread 7e-3) reports
+        # kappa_lambda = inf, so no trial tries the refinement
+        a = (np.diag(np.arange(8) * 1e-3) + np.eye(8, k=1)).astype(complex)
+        assert any(math.isinf(row.kappa_lambda) for row in condition_report(a).per_eigenpair)
+        refined = []
+        monkeypatch.setattr(eigencond.conditioning, "_refined_eigenpairs",
+                            lambda *args: refined.append(None))
+        perturbation_experiment(a, 1e-12, trials=3)
+        assert refined == []
+
+    @pytest.mark.parametrize("family", ["ginibre", "normal", "grcar"])
+    def test_shifts_are_closer_to_a_40_digit_reference(self, family):
+        # the refined shift is mu - lam with mu = lam + (G V)_kk; eig's is the
+        # difference of two factorizations.  On seeds 10-39, two trials each
+        # at n = 8, the refined worst relative error was at most 9.3e-10 and
+        # at most 0.17 of eig's on the same trial
+        a = dense_matrix(family, 8, 0)
+        ms, base, lams, x, x_inv = eigenbasis(a)
+        scale = benchmark_eps(base, lams) * base.norm_frob
+        gap = pairwise_min_separation(lams)
+        before = eigenvalues(ms)
+        for t in range(2):
+            delta = trial_delta(8, scale, 0, t)
+            a1 = ms + delta
+            exact = eigenvalue_shifts(before, eigenvalues(ms, delta), lams)
+            errors = []
+            for w, _ in (eigencond.conditioning._refined_eigenpairs(a1, delta, lams, x, x_inv),
+                         np.linalg.eig(a1)):
+                d = w[eigencond.conditioning._match_eigenvalues(lams, w, gap)] - lams
+                errors.append(float(np.max(np.abs(d - exact) / np.abs(exact))))
+            refined, lapack = errors
+            assert refined <= lapack and refined <= 3e-9
+
+
 class TestEigenvalueMatching:
     """_match_eigenvalues makes the argsort oracle's decisions."""
 
@@ -617,3 +787,12 @@ class TestEigenvalueMatching:
         assert match(np.array([0j]), np.array([1 + 0j, -1 + 0j]), 1.0) is None  # tie
         assert match(np.array([0j]), np.array([1 + 0j, 5 + 0j, -1 + 0j]), 1.0) is None
         assert match(np.array([0j, 1 + 0j]), np.array([0.5 + 0j, 3 + 0j]), 1.0) is None
+
+    @pytest.mark.parametrize("apart, matched", [(1e-6, True), (2.0 ** -30, False)])
+    def test_margin_is_one_billionth_of_the_gap(self, apart, matched):
+        # the two nearest perturbed eigenvalues of 0 lie apart * min_gap apart
+        # in distance (2^-30 < 1e-9 < 1e-6); min_gap = 2
+        lams = np.array([0j, 2 + 0j])
+        w = np.array([0.5j, -(0.5 + 2.0 * apart) + 0j, 2.1 + 0j])
+        result = eigencond.conditioning._match_eigenvalues(lams, w, 2.0)
+        assert result == ([0, 2] if matched else None)

@@ -1,7 +1,9 @@
 """Bounded fuzz test of the CLI: seeded argument lists over every subcommand
 and a fixed corpus of malformed and extreme files must follow the exit-code
-rule and never print a nan cell."""
+rule, never print a nan cell, and print kappa_max and S_p as finite positive
+numbers."""
 
+import math
 import random
 
 import numpy as np
@@ -60,7 +62,7 @@ def corpus(tmp_path_factory):
                 [str(root / name) for name in names if name not in good])
 
     csvs = split(sorted(CSV_FILES) + ["lattice20.csv"],
-                 {"lattice20.csv", "subnormal.csv", "huge.csv"})
+                 {"lattice20.csv", "subnormal.csv", "huge.csv", "bom.csv"})
     mats = split(sorted(MATRICES) + sorted(MATRIX_TEXTS),
                  {"diag.mat", "ginibre.mat", "subnormal.mat", "huge.mat"})
     return csvs, mats
@@ -105,6 +107,16 @@ def _argv(subcommand, rng, csvs, mats):
     return ["reproduce", "--n", _pick(rng, ["100", "1000", "100000"], ["0", "50", "99", "abc"])]
 
 
+def _scale_free_values(subcommand, out):
+    """The kappa_max cells of cond and the raw column of asymptotics."""
+    lines = out.splitlines()
+    if subcommand == "cond":
+        return [float(cell) for cell in lines[-1].split(",")[1:]]
+    if subcommand == "asymptotics":
+        return [float(line.split(",")[1]) for line in lines[1:]]
+    return []
+
+
 @pytest.mark.parametrize("subcommand", ["lattice", "cond", "perturb", "asymptotics",
                                         "optimize", "reproduce"])
 def test_main_follows_the_exit_code_rule(capsys, corpus, subcommand):
@@ -116,6 +128,8 @@ def test_main_follows_the_exit_code_rule(capsys, corpus, subcommand):
         if code == 0:
             cells = out.replace("\n", ",").split(",")
             assert "nan" not in cells, argv
+            for value in _scale_free_values(subcommand, out):
+                assert 0.0 < value < math.inf, (argv, out)
         elif code == 1:
             assert out == "" and err.startswith("error: "), (argv, err)
         else:
