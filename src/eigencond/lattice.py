@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .linalg import pow2_scale, prescale
 from .shells import (_CELL_RADIUS, _MAX_SHELL_BOUND, CELL_AREA,  # noqa: F401
                      _disk_rows, _shell_sums, lattice_prefix_sums)
@@ -150,7 +150,9 @@ class Configuration:
     with pow2_scale, and only that last step can leave the float range.
     The cache is computed on first access from nearest_neighbor_distances;
     constructors that know the separation analytically (the lattice prefix)
-    may pass it in.  Values are safe to share across threads.
+    may pass it in.  Distinct points that the prescale rounds together (they
+    span more than the float range) raise NumericalError where a gap is
+    first computed.  Values are safe to share across threads.
     """
 
     def __init__(self, points, min_separation: float | None = None):
@@ -192,7 +194,8 @@ class Configuration:
         if self._scaled_gap is None:
             if self.n < 2:
                 raise UsageError("min_separation is undefined for a single point")
-            self._scaled_gap = pairwise_min_separation(self._scaled)
+            self._scaled_gap = self._nonzero_unless_coincident(
+                pairwise_min_separation(self._scaled))
         return self._scaled_gap
 
     @property
@@ -205,12 +208,21 @@ class Configuration:
         separation cache."""
         nnd = nearest_neighbor_distances(self._scaled)
         if self._scaled_gap is None:
-            self._scaled_gap = float(nnd.min())
+            self._scaled_gap = self._nonzero_unless_coincident(float(nnd.min()))
         return nnd
 
     def nearest_neighbor_distances(self) -> np.ndarray:
         """nearest_neighbor_distances of the points; fills an empty separation cache."""
         return pow2_scale(self.scaled_nearest_neighbor_distances(), -self._exp)
+
+    def _nonzero_unless_coincident(self, gap: float) -> float:
+        """gap, a scaled minimum separation; NumericalError when it is 0 for
+        pairwise distinct points, which the prescale rounded together."""
+        if gap == 0.0 and np.unique(self._points).size == self.n:
+            raise NumericalError(
+                "the points span more than the float range: distinct points coincide "
+                f"when scaled by 2^{self._exp} to bring the largest coordinate into [1/2, 1)")
+        return gap
 
     def __repr__(self) -> str:
         return f"Configuration(n={self.n})"

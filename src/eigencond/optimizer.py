@@ -26,6 +26,7 @@ from .errors import NumericalError, UsageError
 from .extremal import (_norm_from_sum, _power_terms, _validate_p, modulus_p_norm,
                        separation_functional)
 from .lattice import Configuration, first_n_lattice_points, pair_distances
+from .linalg import prescale
 
 BASE_BETAS = (10.0, 30.0, 100.0, 300.0)  # scaled by n
 BASE_STEPS = (0.1, 0.05, 0.02, 0.01)
@@ -125,9 +126,15 @@ def _state(z: np.ndarray, p: float) -> _State:
 
 
 def _gauged(z: np.ndarray) -> np.ndarray:
-    """z scaled to hard minimum gap 1 (z itself when points coincide)."""
-    gap = float(pair_distances(z)[1].min())
-    return z if gap == 0.0 else z / gap
+    """z scaled to hard minimum gap 1 (z itself when points coincide).
+
+    The gap is measured on z prescaled by an exact power of two, where no
+    difference of two points overflows; in the normal float range the
+    result is z / gap to the last bit.
+    """
+    zs, _ = prescale(z)
+    gap = float(pair_distances(zs)[1].min())
+    return z if gap == 0.0 else zs / gap
 
 
 def _soft_eval(st: _State, p: float, beta: float, with_grad: bool):

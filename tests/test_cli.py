@@ -170,6 +170,18 @@ class TestCondCommand:
         assert code == 2
         assert "clustered" in err
 
+    @pytest.mark.parametrize("command", [("cond", "--diag"),
+                                         ("asymptotics", "--p", "2", "--n-list", "3", "--file")])
+    def test_points_beyond_the_float_range_exit_2(self, capsys, tmp_path, command):
+        # prescaled by 2^-1024, 1e-300 rounds to 0: the points are distinct,
+        # and the error says that they span more than the float range
+        span = tmp_path / "span.csv"
+        span.write_text("re,im\n1e308,0\n1e-300,0\n0,0\n")
+        code, out, err = run_cli(capsys, *command, str(span))
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical error: the points span more than the float range")
+        assert "distinct" not in err.split(":")[1]
+
     def test_requires_exactly_one_source(self, capsys, diag012_file, tmp_path):
         dup = tmp_path / "c.csv"
         dup.write_text("re,im\n0.0,0.0\n1.0,0.0\n")
@@ -336,6 +348,18 @@ class TestOptimizeCommand:
         code, out, _ = run_cli(capsys, "optimize", "--n", "4",
                                "--file", str(config_csv), "--max-iters", "20")
         assert code == 0
+
+    def test_file_start_at_the_top_of_the_float_range(self, capsys, tmp_path):
+        # z_1 - z_2 = 2e308 overflows; the start is gauged on prescaled points,
+        # and the optimum of two points, S_2 = 1/sqrt(2), is the start itself
+        huge = tmp_path / "huge.csv"
+        huge.write_text("re,im\n1e308,0\n-1e308,0\n")
+        trace = tmp_path / "trace.jsonl"
+        code, out, err = run_cli(capsys, "optimize", "--n", "2", "--file", str(huge),
+                                 "--max-iters", "3", "--trace", str(trace))
+        assert code == 0, err
+        done = json.loads(trace.read_text().splitlines()[-1])
+        assert done["objective"] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
     def test_file_start_takes_the_first_n_points(self, capsys, tmp_path):
         # the rule of asymptotics --file: a longer file gives its first n
