@@ -1,14 +1,20 @@
 """Run one invocation list against two source trees and compare the bytes.
 
-    python3 scripts/same_bytes.py PARENT_SRC CHANGE_SRC [--json PATH]
+    python3 scripts/same_bytes.py PARENT_SRC CHANGE_SRC [--declared LABEL ...] [--json PATH]
 
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.  Each
 invocation runs cold, as `python -m eigencond ARGV` with PYTHONPATH set to
 one tree, in a fresh directory that holds the input files.  The script
 prints, per invocation, the exit codes and the sha256 of stdout, stderr and
 every file the run wrote, then the invocations that differ.  --json writes
-the same records as JSON.  The exit status is 0 when every invocation gave
-the same bytes on both trees, and 1 otherwise.
+the same records as JSON.
+
+A change that alters some outputs on purpose declares them: each --declared
+takes one invocation's label, its environment settings and argv joined by
+spaces as the listing prints them (`--declared "cond accent.mat"`).  The
+exit status is 0 when exactly the declared invocations differ, and 1 when
+an undeclared one differs, a declared one gave the same bytes, or a label
+names no invocation (check_declared).
 
 The invocation list is the `same_bytes` list of BENCH_38.json, followed by
 EXTRA_INVOCATIONS.  The input files are generated from seeds (write_inputs),
@@ -116,6 +122,25 @@ def run_one(src: Path, inputs: Path, invocation: dict) -> dict:
             "err": _sha256(proc.stderr), "files": files}
 
 
+def label(invocation: dict) -> str:
+    """The invocation as a shell line: its environment settings, then argv."""
+    return " ".join([f"{k}={v}" for k, v in invocation["env"].items()] + invocation["argv"])
+
+
+def check_declared(records, declared) -> list[str]:
+    """Each way records break the declaration that exactly the invocations
+    labelled in declared differ; empty when they keep it."""
+    declared = set(declared)
+    problems = [f"declared, but no invocation has this label: {d}"
+                for d in sorted(declared - {label(r) for r in records})]
+    for r in records:
+        if not r["same"] and label(r) not in declared:
+            problems.append(f"differs, but is not declared: {label(r)}")
+        elif r["same"] and label(r) in declared:
+            problems.append(f"declared, but gave the same bytes: {label(r)}")
+    return problems
+
+
 def compare(parent_src, change_src, listed=None, log=print) -> list[dict]:
     """One record per invocation: argv, env, both sides' results, and same."""
     records = []
@@ -128,11 +153,10 @@ def compare(parent_src, change_src, listed=None, log=print) -> list[dict]:
             rec = dict(inv, parent=parent, change=change, same=parent == change)
             records.append(rec)
             if log is not None:
-                env = " ".join(f"{k}={v}" for k, v in inv["env"].items())
                 log(f"[{i:3d}] {'same  ' if rec['same'] else 'DIFFER'} "
                     f"code {parent['code']}/{change['code']} out {parent['out'][:16]}"
                     f"{'' if parent['out'] == change['out'] else '/' + change['out'][:16]}  "
-                    f"{env + ' ' if env else ''}{' '.join(inv['argv'])}")
+                    f"{label(inv)}")
     return records
 
 
@@ -140,6 +164,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
+    parser.add_argument("--declared", action="append", default=[], metavar="LABEL",
+                        help="an invocation whose output the change alters on purpose")
     parser.add_argument("--json", type=Path, help="write every record to this file")
     ns = parser.parse_args(argv)
     records = compare(ns.parent_src, ns.change_src)
@@ -148,10 +174,13 @@ def main(argv=None) -> int:
           f"{len(differ)} differ:")
     for r in differ:
         parts = [k for k in ("code", "out", "err", "files") if r["parent"][k] != r["change"][k]]
-        print(f"  {' '.join(r['argv'])}: {', '.join(parts)}")
+        print(f"  {label(r)}: {', '.join(parts)}")
     if ns.json:
         ns.json.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    return 1 if differ else 0
+    problems = check_declared(records, ns.declared)
+    for problem in problems:
+        print(f"error: {problem}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@ is checked once: the library raises UsageError (exit 1) for an argument
 outside its domain, and the CLI checks only what the library cannot know:
 how flags relate (argparse states which exclude each other; --open needs
 --r is checked by hand), the size limits, and the files it reads and
-writes.  An unwritable output path and a stdout whose reader closed it
-early exit 1 too.
+writes.  An unwritable output path, two paths that name one file, and a
+stdout whose reader closed it early exit 1 too.
 """
 
 from __future__ import annotations
@@ -207,14 +207,12 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-def read_configuration_csv(path) -> Configuration:
-    """Read a point configuration from CSV with 're' and 'im' header columns.
+def read_configuration_csv(path) -> list[complex]:
+    """The points of a configuration CSV with 're' and 'im' header columns.
 
     Accepts both the two-column optimizer output and the six-column lattice
     output.
     """
-    from .lattice import Configuration
-
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -239,16 +237,20 @@ def read_configuration_csv(path) -> Configuration:
         points.append(complex(x, y))
     if not points:
         raise UsageError(f"{path}: no points")
-    return Configuration(points)
+    return points
 
 
-def _read_matrix_file(path) -> np.ndarray:
-    from .linalg import read_matrix
-
-    try:
-        return read_matrix(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read matrix file {path}: {exc}") from exc
+def _check_distinct_files(ns) -> None:
+    """Reject two of FILE (or --file), --output, --manifest and --trace that
+    name one file: a later write would replace an earlier one or the input."""
+    seen = {}
+    for flag in ("--file" if ns.subcommand in ("asymptotics", "optimize") else "FILE",
+                 "--output", "--manifest", "--trace"):
+        path = getattr(ns, flag.lstrip("-").lower(), None)
+        if path is not None:
+            first = seen.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                raise UsageError(f"{first} and {flag} name the same file: {path}")
 
 
 def _write(path, chunks) -> None:
@@ -328,13 +330,14 @@ def _cmd_lattice(ns) -> None:
 
 def _cmd_cond(ns) -> None:
     from .conditioning import condition_report, condition_report_diagonal
-    from .linalg import pinned_blas_threads
+    from .lattice import Configuration
+    from .linalg import pinned_blas_threads, read_matrix
 
     if ns.diag:
-        report = condition_report_diagonal(read_configuration_csv(ns.file))
+        report = condition_report_diagonal(Configuration(read_configuration_csv(ns.file)))
         environment = None
     else:
-        report = condition_report(_read_matrix_file(ns.file))
+        report = condition_report(read_matrix(ns.file))
         environment = {"blas_threads": pinned_blas_threads()}
     rows = [(row.eigenvalue.real, row.eigenvalue.imag, row.kappa_lambda, row.kappa_x)
             for row in report.per_eigenpair]
@@ -347,12 +350,9 @@ def _cmd_perturb(ns) -> None:
     import numpy as np
 
     from .conditioning import perturbation_experiment
-    from .linalg import pinned_blas_threads
+    from .linalg import pinned_blas_threads, read_matrix
 
-    if ns.diag:
-        matrix = np.diag(read_configuration_csv(ns.file).points)
-    else:
-        matrix = _read_matrix_file(ns.file)
+    matrix = np.diag(read_configuration_csv(ns.file)) if ns.diag else read_matrix(ns.file)
     result = perturbation_experiment(matrix, ns.eps, trials=ns.trials,
                                      norm_kind=ns.norm, seed=ns.seed)
     rows = [(row.eigenvalue.real, row.eigenvalue.imag, row.kappa_lambda, row.kappa_x,
@@ -374,7 +374,7 @@ def _cmd_asymptotics(ns) -> None:
         _check_point_count(max(ns.n_list), "--n-list")
         points = None
     else:
-        points = read_configuration_csv(ns.file).points
+        points = read_configuration_csv(ns.file)
     rows = convergence_study(ns.p, ns.n_list, points)
     params = {"p": ns.p, "n_list": ns.n_list,
               "generator": "lattice" if ns.file is None else "file", "file": ns.file}
@@ -391,7 +391,7 @@ def _cmd_optimize(ns) -> None:
     if ns.file is None:
         init = label = ns.init or "lattice"
     else:
-        init, label = tuple(read_configuration_csv(ns.file).points[:ns.n]), "file"
+        init, label = tuple(read_configuration_csv(ns.file)[:ns.n]), "file"
     cfg = OptimizerConfig(n=ns.n, p=ns.p, restarts=ns.restarts, max_iters=ns.max_iters,
                           seed=ns.seed, init=init)
     result = optimize(cfg)
@@ -438,6 +438,7 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         ns = parser.parse_args(argv)
+        _check_distinct_files(ns)
         ns.func(ns)
     except BrokenPipeError:
         # the reader of stdout went away (`... | head -1`): the output cannot

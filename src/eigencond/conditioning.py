@@ -34,9 +34,9 @@ from .errors import ClusteredSpectrumError, DuplicatePointsError, UsageError
 from .extremal import modulus_p_norm
 from .lattice import (Configuration, nearest_neighbor_distances, pair_distances,
                       pairwise_min_separation)
-from .linalg import (EIG_GAP_TOL, EIG_RESIDUAL_TOL, as_matrix, frobenius_norm,
-                     locate_eigenpair, one_blas_thread, operator_norm, pow2_scale,
-                     prescale, schur, schur_eigenpair, verified_residuals)
+from .linalg import (as_matrix, frobenius_norm, locate_eigenpair, one_blas_thread,
+                     operator_norm, pow2_scale, prescale, schur, schur_eigenpair,
+                     verified_residuals)
 
 OVERLAP_TOL = 1e-14        # |y^H x| below this reports kappa_lambda = +inf
 _LISTED_PAIRS = 10         # close pairs named by a clustered spectrum's error
@@ -137,14 +137,13 @@ def kappa_x(a, lam) -> float:
     return _kappa_x(pair.sigma_min, s)
 
 
-def _require_simple_spectrum(lams: np.ndarray, anorm: float, s: int) -> None:
-    """Raise ClusteredSpectrumError on pairs closer than EIG_GAP_TOL*anorm.
+def _require_simple_spectrum(lams: np.ndarray, threshold: float, s: int) -> None:
+    """Raise ClusteredSpectrumError on pairs at most threshold (cluster_tol) apart.
 
     The error lists the first _LISTED_PAIRS in spectrum order, and the total
-    count of pairs when there are more.  lams and anorm belong to A * 2^s;
+    count of pairs when there are more.  lams and threshold belong to A * 2^s;
     the message reports values of A.
     """
-    threshold = EIG_GAP_TOL * anorm
     if nearest_neighbor_distances(lams).min() <= threshold:
         close = np.argwhere(np.triu(pair_distances(lams)[1] <= threshold, 1))
         values = pow2_scale(lams, -s)
@@ -202,11 +201,11 @@ def condition_report(a) -> ConditionReport:
     eigs = form.eigenvalues
     order = _spectrum_order(eigs)
     lams = eigs[order]
-    nf = float(np.linalg.norm(ms))
-    _require_simple_spectrum(lams, nf, s)
+    nf = form.norm
+    _require_simple_spectrum(lams, form.cluster_tol, s)
     no = operator_norm(ms)
     pairs = _eigenpairs(form, order.tolist())
-    tol = EIG_RESIDUAL_TOL * (nf if nf > 0.0 else 1.0)
+    tol = form.residual_tol
     res_r = verified_residuals(ms, lams, np.stack([p.x for p in pairs], axis=1), tol)
     res_l = verified_residuals(ms, lams, np.stack([p.y for p in pairs], axis=1), tol,
                                left=True)

@@ -1,8 +1,7 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: bad input (UsageError) exits 1, among
-it an output path that cannot be written, reported as `cannot write PATH:
-...`; numerical ill-posedness (clustered spectra, duplicate points, failed
+The CLI maps these onto exit codes: bad input (UsageError) exits 1;
+numerical ill-posedness (clustered spectra, duplicate points, failed
 factorizations, results beyond the float range) exits 2.
 
 Coincident points follow that rule in every subcommand that reads a
@@ -30,9 +29,13 @@ points is bad input, rejected on the first lines of the functions that need
 two, before computing anything: `cond` and `perturb` on a 1x1 matrix file
 or a one-point `--diag` CSV, `asymptotics --n-list 1` and `optimize --n 1`.
 
-A stdout whose reader has gone away (`eigencond lattice --n 100000 | head -1`)
-is an output that cannot be written, too: the CLI catches the BrokenPipeError
-and exits 1 with nothing on stderr, neither a manifest nor a traceback.
+Paths are bad input by one rule.  A reader that cannot open or decode its
+file says `cannot read matrix file PATH: ...` (linalg.read_matrix) or
+`cannot read configuration file PATH: ...` (cli.read_configuration_csv);
+an unwritable output is `cannot write PATH: ...`; two of a run's paths
+(FILE or --file, --output, --manifest, --trace) that resolve to one file
+are rejected before any work; and a stdout whose reader has gone away
+(`eigencond lattice --n 100000 | head -1`) exits 1 with an empty stderr.
 """
 
 

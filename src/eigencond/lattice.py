@@ -113,11 +113,10 @@ def _kd_tree_nearest(z: np.ndarray) -> np.ndarray:
     # imported here: scipy.spatial adds a noticeable share to the CLI's start-up
     from scipy.spatial import cKDTree
 
-    xy = np.column_stack((z.real, z.imag))
     # an exact power-of-two prescale keeps squared distances inside the
     # float range without rounding any coordinate
-    _, exponent = np.frexp(np.max(np.abs(xy)))
-    xy = np.ldexp(xy, -exponent)
+    zs, _ = prescale(z)
+    xy = np.column_stack((zs.real, zs.imag))
     tree = cKDTree(xy)
     dist, idx = tree.query(xy, k=_CANDIDATES)
     own = np.arange(z.size)
@@ -194,8 +193,7 @@ class Configuration:
         if self._scaled_gap is None:
             if self.n < 2:
                 raise UsageError("min_separation is undefined for a single point")
-            self._scaled_gap = self._nonzero_unless_coincident(
-                pairwise_min_separation(self._scaled))
+            self.scaled_nearest_neighbor_distances()
         return self._scaled_gap
 
     @property
@@ -205,24 +203,20 @@ class Configuration:
 
     def scaled_nearest_neighbor_distances(self) -> np.ndarray:
         """nearest_neighbor_distances of the prescaled points; fills an empty
-        separation cache."""
+        separation cache, raising NumericalError if distinct points scale to one."""
         nnd = nearest_neighbor_distances(self._scaled)
         if self._scaled_gap is None:
-            self._scaled_gap = self._nonzero_unless_coincident(float(nnd.min()))
+            gap = float(nnd.min())
+            if gap == 0.0 and np.unique(self._points).size == self.n:
+                raise NumericalError(
+                    "the points span more than the float range: distinct points coincide "
+                    f"when scaled by 2^{self._exp} to bring the largest coordinate into [1/2, 1)")
+            self._scaled_gap = gap
         return nnd
 
     def nearest_neighbor_distances(self) -> np.ndarray:
         """nearest_neighbor_distances of the points; fills an empty separation cache."""
         return pow2_scale(self.scaled_nearest_neighbor_distances(), -self._exp)
-
-    def _nonzero_unless_coincident(self, gap: float) -> float:
-        """gap, a scaled minimum separation; NumericalError when it is 0 for
-        pairwise distinct points, which the prescale rounded together."""
-        if gap == 0.0 and np.unique(self._points).size == self.n:
-            raise NumericalError(
-                "the points span more than the float range: distinct points coincide "
-                f"when scaled by 2^{self._exp} to bring the largest coordinate into [1/2, 1)")
-        return gap
 
     def __repr__(self) -> str:
         return f"Configuration(n={self.n})"

@@ -3,7 +3,7 @@
 Factorizations delegate to LAPACK through numpy/scipy; every factor handed
 back is re-checked against explicit residual tolerances, and eigenvector
 extraction flags clustered spectra instead of returning garbage.  The
-tolerances below are fixed: every check of the package reads them.
+tolerances below are fixed and read by every check (via SchurForm for eigenpairs).
 
 Eigenpairs come from one engine (schur_eigenpair, after LAPACK's xTREXC /
 xTRSNA): the Schur form T = Q^H A Q is reordered so that the eigenvalue
@@ -224,6 +224,16 @@ class SchurForm:
         return self.departure <= NORMAL_DEPARTURE_C * n * _UNIT_ROUNDOFF * self.norm
 
     @property
+    def residual_tol(self) -> float:
+        """Largest accepted eigenpair residual: EIG_RESIDUAL_TOL * ||a||_F (1 if a = 0)."""
+        return EIG_RESIDUAL_TOL * (self.norm if self.norm > 0.0 else 1.0)
+
+    @property
+    def cluster_tol(self) -> float:
+        """Eigenvalues at most EIG_GAP_TOL * ||a||_F apart are clustered."""
+        return EIG_GAP_TOL * self.norm
+
+    @property
     def eigenvalues(self) -> np.ndarray:
         """Diagonal of t: the full eigenvalue multiset of the source matrix."""
         return np.diag(self.t).copy()
@@ -432,10 +442,10 @@ def locate_eigenpair(a, lam, *, simple: bool = False) -> tuple[SchurEigenpair, i
     """Engine entry for one eigenvalue: prescale, Schur form, locate, reorder.
 
     lam is matched to the nearest Schur diagonal entry, which must lie
-    within EIG_RESIDUAL_TOL * ||A||_F of it (else UsageError).  With simple
-    the entry must also lie farther than EIG_GAP_TOL * ||A||_F from the rest
-    of the diagonal (else ClusteredSpectrumError), and the left eigenvector
-    is verified along with the right one.  Returns the pair for the
+    within the form's residual_tol of it (else UsageError).  With simple
+    the entry must also lie farther than its cluster_tol from the rest of
+    the diagonal (else ClusteredSpectrumError), and the left eigenvector is
+    verified along with the right one.  Returns the pair for the
     prescaled matrix A * 2^s, and s.
     """
     ms, s = prescale(as_matrix(a, square=True))
@@ -444,15 +454,13 @@ def locate_eigenpair(a, lam, *, simple: bool = False) -> tuple[SchurEigenpair, i
     lam = complex(lam)
     dist = np.abs(diag - complex(pow2_scale(lam, s)))
     k = int(np.argmin(dist))
-    anorm = float(np.linalg.norm(ms))
-    tol = EIG_RESIDUAL_TOL * (anorm if anorm > 0.0 else 1.0)
+    tol = form.residual_tol
     if simple and diag.size > 1:
         gap = float(np.min(np.abs(np.delete(diag, k) - diag[k])))
-        threshold = EIG_GAP_TOL * anorm
-        if gap <= threshold:
+        if gap <= form.cluster_tol:
             raise ClusteredSpectrumError(
                 f"eigenvalue {lam!r} is not simple: nearest other eigenvalue at distance "
-                f"{pow2_scale(gap, -s):.3e} (threshold {pow2_scale(threshold, -s):.3e})",
+                f"{pow2_scale(gap, -s):.3e} (threshold {pow2_scale(form.cluster_tol, -s):.3e})",
                 cluster=(lam,))
     if dist[k] > tol:
         raise UsageError(f"{lam!r} is not an eigenvalue within tolerance (nearest "
@@ -496,12 +504,13 @@ def write_matrix(path, a) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read the matrix text format written by write_matrix."""
+    """Read the matrix text format written by write_matrix.  An unreadable
+    or non-ASCII file raises UsageError `cannot read matrix file PATH: ...`."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             stripped = [ln.strip() for ln in fh]
-    except UnicodeDecodeError as exc:
-        raise UsageError(str(exc)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read matrix file {path}: {exc}") from exc
     lines = [ln for ln in stripped if ln]
     if not lines:
         raise UsageError(f"{path}: empty matrix file")

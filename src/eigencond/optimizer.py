@@ -41,10 +41,8 @@ _POLISH_WINDOW = 48
 _POLISH_FLAG_TOL = 1e-12
 _BACKTRACK_LIMIT = 30
 # exp of an argument at or below this is exactly 0, and numpy's exp is slow
-# on such arguments, so from _EXP_FLOOR_MIN_N points on the soft objective
-# does not evaluate it there; below that the mask costs more than it saves
+# on such arguments, so the soft objective does not evaluate it there
 _EXP_FLOOR = -746.0
-_EXP_FLOOR_MIN_N = 25
 
 
 @dataclass(frozen=True)
@@ -148,11 +146,8 @@ def _soft_eval(st: _State, p: float, beta: float, with_grad: bool):
     # max-exponent subtraction: entries of d - dmin are >= 0 (diag stays inf)
     x = d - dmin
     x *= -beta
-    if z.size < _EXP_FLOOR_MIN_N:
-        e = np.exp(x, out=x)
-    else:
-        e = np.zeros_like(d)
-        np.exp(x, out=e, where=x > _EXP_FLOOR)
+    e = np.zeros_like(d)
+    np.exp(x, out=e, where=x > _EXP_FLOOR)
     del x  # freed before the gradient's n x n temporaries
     s = float(e.sum()) / 2.0
     softmin = dmin - math.log(s) / beta
@@ -367,9 +362,9 @@ def _polish(z0: np.ndarray, p_true: float):
 def _initial_points(cfg: OptimizerConfig, restart: int, base=None) -> np.ndarray:
     """The points a restart starts from.
 
-    A random start draws them from the stream (seed, restart).  Lattice
-    starts and given points read base, the run's nominal start: restart 0 is
-    base itself, and a later restart jitters it from its own stream.
+    A random start draws them from the stream (seed, restart).  Otherwise
+    they are base, the run's nominal start, jittered from that stream;
+    optimize starts restart 0 from base itself without calling this.
     """
     rng = np.random.default_rng((cfg.seed, restart))
     if cfg.init == "random":
@@ -379,8 +374,6 @@ def _initial_points(cfg: OptimizerConfig, restart: int, base=None) -> np.ndarray
         rad = radius * np.sqrt(rng.uniform(size=cfg.n))
         ang = rng.uniform(0.0, 2.0 * math.pi, size=cfg.n)
         return rad * np.exp(1j * ang)
-    if restart == 0:
-        return base
     jitter = 0.1 * (rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n))
     return base + jitter
 

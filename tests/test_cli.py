@@ -23,7 +23,7 @@ from eigencond.cli import (MAX_OPTIMIZE_POINTS, MAX_POINTS, MAX_REPRODUCE_N, mai
                            read_configuration_csv, reproduce_rows)
 from eigencond.conditioning import condition_report_diagonal
 from eigencond.extremal import separation_functional
-from eigencond.lattice import first_n_lattice_points, first_n_sites
+from eigencond.lattice import Configuration, first_n_lattice_points, first_n_sites
 from eigencond.linalg import write_matrix
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -111,9 +111,9 @@ class TestLatticeCommand:
     def test_output_reads_back_as_configuration(self, capsys, tmp_path):
         target = tmp_path / "pts.csv"
         run_cli(capsys, "lattice", "--n", "7", "--output", str(target))
-        config = read_configuration_csv(target)
-        assert config.n == 7
-        assert config.min_separation == 1.0
+        points = read_configuration_csv(target)
+        assert len(points) == 7
+        assert Configuration(points).min_separation == 1.0
 
 
 class TestCondCommand:
@@ -207,7 +207,7 @@ class TestCondCommand:
         code, out, _ = run_cli(capsys, "cond", "--diag", str(config_csv))
         assert code == 0 and calls == [500]
         footer = out.splitlines()[-1].split(",")
-        config = read_configuration_csv(config_csv)
+        config = Configuration(read_configuration_csv(config_csv))
         assert float(footer[1]) == separation_functional(config, 2.0)
         assert float(footer[2]) == separation_functional(config, math.inf)
 
@@ -979,17 +979,31 @@ def test_version_flag():
     (("optimize", "--n", "3", "--init", "file", "--file", "{csv}"),
      "argument --init: invalid choice: 'file'"),
     (("lattice", "--n", "3", "--open"), "--open requires --r"),
+    (("reproduce", "--n", "100", "--output", "{out}", "--manifest", "{out}"),
+     "--output and --manifest name the same file: {out}"),
+    (("optimize", "--n", "5", "--output", "{out}", "--trace", "{out}"),
+     "--output and --trace name the same file: {out}"),
+    (("cond", "{mat}", "--output", "{mat}"), "FILE and --output name the same file: {mat}"),
+    (("perturb", "{mat}", "--eps", "1e-6", "--manifest", "{link}"),
+     "FILE and --manifest name the same file: {link}"),
+    (("asymptotics", "--p", "2", "--n-list", "2,3", "--file", "{csv}", "--output", "{csv}"),
+     "--file and --output name the same file: {csv}"),
+    (("optimize", "--n", "3", "--file", "{csv}", "--manifest", "{out}", "--trace", "{out}"),
+     "--manifest and --trace name the same file: {out}"),
 ], ids=["optimize-file", "cond-both", "cond-none", "perturb-both", "perturb-none",
         "cond-diag-value", "asymptotics-generator-file", "optimize-init-file",
-        "lattice-open"])
+        "lattice-open", "reproduce-output-manifest", "optimize-output-trace",
+        "cond-input-output", "perturb-input-manifest-link", "asymptotics-input-output",
+        "optimize-manifest-trace"])
 def test_ignored_flag_exit_1(capsys, tmp_path, monkeypatch, args, message):
     # input sources that exclude each other, a missing source, removed
-    # spellings and a flag the others would leave unused: each is rejected
-    # before any work
+    # spellings, a flag the others would leave unused, and two paths that
+    # name one file: each is rejected before any work
     def forbidden(*unused, **kwargs):
         raise AssertionError("work began despite a bad flag relation")
 
     for module, name in ((eigencond.cli, "read_configuration_csv"),
+                         (eigencond.cli, "reproduce_rows"),
                          (eigencond.linalg, "read_matrix"),
                          (eigencond.extremal, "convergence_study"),
                          (eigencond.optimizer, "optimize"),
@@ -997,7 +1011,9 @@ def test_ignored_flag_exit_1(capsys, tmp_path, monkeypatch, args, message):
         monkeypatch.setattr(module, name, forbidden)
     mat = tmp_path / "a.mat"
     write_matrix(mat, np.diag([0.0, 1.0]).astype(complex))
-    files = {"csv": _write_config(tmp_path), "mat": mat}
+    (tmp_path / "link.mat").symlink_to(mat)
+    files = {"csv": _write_config(tmp_path), "mat": mat, "link": tmp_path / "link.mat",
+             "out": tmp_path / "out.txt"}
     code, out, err = run_cli(capsys, *(arg.format(**files) for arg in args))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message.format(**files)}") and err.count("\n") == 1

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from eigencond.errors import DuplicatePointsError, NumericalError, UsageError
 from eigencond.extremal import (_growth_scale, convergence_study, modulus_p_norm,
                                 proposition_constant, separation_functional)
 from eigencond.lattice import Configuration, first_n_lattice_points
+from eigencond.shells import lattice_prefix_sums
 
 INF = math.inf
 
@@ -103,6 +105,27 @@ class TestPropositionConstant:
         for bad in (0.0, -2.0, math.nan):
             with pytest.raises(ValueError):
                 proposition_constant(bad)
+
+    def test_exact_lattice_sums_recover_both_constants(self):
+        """Pins a measurement at one n, not a theorem: the lattice prefix of
+        n = 10^9 points has S_2 = sqrt(sum q) and S_inf = sqrt(q_max) (minimum
+        gap 1), so sqrt(sum q)/n and sqrt(q_max/n) estimate c_2 and c_inf.
+        Measured against 40-digit closed forms, their relative deviations
+        are -3.48e-12 and -9.92e-8: the exact sums confirm c_2 to about 11
+        digits and c_inf to about 7, which a wrong sixth digit of the closed
+        forms, in the package or here, would fail."""
+        n = 10 ** 9
+        q_max, q_sum = lattice_prefix_sums(n)
+        with mpmath.workdps(40):
+            root3 = mpmath.mpf(3) ** mpmath.mpf(0.25)
+            c_2 = root3 / (2 * mpmath.sqrt(mpmath.pi))
+            c_inf = root3 / mpmath.sqrt(2 * mpmath.pi)
+            dev_2 = float(mpmath.sqrt(q_sum) / n / c_2 - 1)
+            dev_inf = float(mpmath.sqrt(mpmath.mpf(q_max) / n) / c_inf - 1)
+        assert abs(dev_2) <= 1e-10 and abs(dev_inf) <= 1e-6
+        # and the package's float constants agree with the 40-digit ones
+        assert proposition_constant(2.0) == pytest.approx(float(c_2), rel=1e-15)
+        assert proposition_constant(INF) == pytest.approx(float(c_inf), rel=1e-15)
 
 
 class TestTheoremLinkage:

@@ -1,6 +1,7 @@
-"""scripts/same_bytes.py on five invocations, with the tree against itself:
+"""scripts/same_bytes.py: on five invocations with the tree against itself
 every cold run must give the same bytes twice, which catches an unseeded
-draw, a time in the output or a result that depends on thread scheduling."""
+draw, a time in the output or a result that depends on thread scheduling;
+and its check of declared differences, on made-up records."""
 
 import importlib.util
 from pathlib import Path
@@ -19,10 +20,15 @@ INVOCATIONS = [
 ]
 
 
-def test_the_tree_gives_its_own_bytes():
+def load_script():
     spec = importlib.util.spec_from_file_location("same_bytes", SCRIPT)
     same_bytes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_bytes)
+    return same_bytes
+
+
+def test_the_tree_gives_its_own_bytes():
+    same_bytes = load_script()
     listed = [inv for inv in same_bytes.invocations() if inv["argv"] in INVOCATIONS]
     assert len(listed) == len(INVOCATIONS)
     src = Path(eigencond.__file__).resolve().parents[1]
@@ -31,3 +37,34 @@ def test_the_tree_gives_its_own_bytes():
     assert [r["parent"]["code"] for r in records] == [0] * len(INVOCATIONS)
     written = {" ".join(r["argv"]): set(r["parent"]["files"]) for r in records}
     assert written[" ".join(INVOCATIONS[1])] == {"o.csv", "m.json"}
+    assert same_bytes.check_declared(records, []) == []
+
+
+def record(argv, same, env=None):
+    side = {"code": 1, "out": "0" * 64, "err": "1" * 64, "files": {}}
+    return {"argv": argv.split(), "env": env or {}, "parent": side,
+            "change": side if same else dict(side, err="2" * 64), "same": same}
+
+
+RECORDS = [record("cond accent.mat", False), record("cond short.mat", True),
+           record("optimize --n 5", True, {"EIGENCOND_SEED": "5"})]
+
+
+def test_exactly_the_declared_invocations_differ():
+    check = load_script().check_declared
+    assert check(RECORDS, ["cond accent.mat"]) == []
+    # the label carries the environment, as the listing prints it
+    changed = RECORDS[:2] + [record("optimize --n 5", False, {"EIGENCOND_SEED": "5"})]
+    assert check(changed, ["cond accent.mat", "EIGENCOND_SEED=5 optimize --n 5"]) == []
+
+
+def test_every_break_of_the_declaration_is_named():
+    check = load_script().check_declared
+    assert check(RECORDS, []) == ["differs, but is not declared: cond accent.mat"]
+    assert check(RECORDS, ["cond accent.mat", "cond short.mat"]) == [
+        "declared, but gave the same bytes: cond short.mat"]
+    assert check(RECORDS, ["cond accent.mat", "cond missing.mat"]) == [
+        "declared, but no invocation has this label: cond missing.mat"]
+    assert check(RECORDS, ["optimize --n 5"]) == [
+        "declared, but no invocation has this label: optimize --n 5",
+        "differs, but is not declared: cond accent.mat"]
