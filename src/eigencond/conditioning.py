@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import ClusteredSpectrumError, DuplicatePointsError, UsageError
 from .extremal import modulus_p_norm
-from .lattice import (Configuration, nearest_neighbor_distances, pair_distances,
-                      pairwise_min_separation)
+from .lattice import Configuration, nearest_neighbor_distances, pair_distances
 from .linalg import (as_matrix, frobenius_norm, locate_eigenpair, one_blas_thread,
                      operator_norm, pow2_scale, prescale, schur, schur_eigenpair,
                      verified_residuals)
@@ -93,7 +92,8 @@ class ConditionReport:
 
     kappa_max_* = (max over eigenvectors of kappa_x) * ||A||_*; the maxima
     run over eigenvectors only, eigenvalue condition numbers are reported but
-    never aggregated.
+    never aggregated.  min_gap is the smallest distance between two
+    eigenvalues, in the units of A.
     """
 
     per_eigenpair: list[EigenpairReport]
@@ -101,6 +101,7 @@ class ConditionReport:
     kappa_max_op: float
     norm_frob: float
     norm_op: float
+    min_gap: float
 
 
 def _spectrum_order(values: np.ndarray) -> np.ndarray:
@@ -137,14 +138,16 @@ def kappa_x(a, lam) -> float:
     return _kappa_x(pair.sigma_min, s)
 
 
-def _require_simple_spectrum(lams: np.ndarray, threshold: float, s: int) -> None:
-    """Raise ClusteredSpectrumError on pairs at most threshold (cluster_tol) apart.
+def _require_simple_spectrum(lams: np.ndarray, threshold: float, s: int) -> float:
+    """The minimum gap of lams; ClusteredSpectrumError on pairs at most
+    threshold (cluster_tol) apart.
 
     The error lists the first _LISTED_PAIRS in spectrum order, and the total
     count of pairs when there are more.  lams and threshold belong to A * 2^s;
     the message reports values of A.
     """
-    if nearest_neighbor_distances(lams).min() <= threshold:
+    gap = float(nearest_neighbor_distances(lams).min())
+    if gap <= threshold:
         close = np.argwhere(np.triu(pair_distances(lams)[1] <= threshold, 1))
         values = pow2_scale(lams, -s)
         clustered = [(complex(values[i]), complex(values[j]))
@@ -153,6 +156,7 @@ def _require_simple_spectrum(lams: np.ndarray, threshold: float, s: int) -> None
         raise ClusteredSpectrumError(
             f"spectrum is clustered below {pow2_scale(threshold, -s):.3e}: {clustered}{more}",
             cluster=[c for pair in clustered for c in pair])
+    return gap
 
 
 def _eigenpairs(form, order: list[int]) -> list:
@@ -202,7 +206,7 @@ def condition_report(a) -> ConditionReport:
     order = _spectrum_order(eigs)
     lams = eigs[order]
     nf = form.norm
-    _require_simple_spectrum(lams, form.cluster_tol, s)
+    gap = _require_simple_spectrum(lams, form.cluster_tol, s)
     no = operator_norm(ms)
     pairs = _eigenpairs(form, order.tolist())
     tol = form.residual_tol
@@ -220,7 +224,8 @@ def condition_report(a) -> ConditionReport:
     kx_max = _kappa_x(min(p.sigma_min for p in pairs), 0)
     return ConditionReport(per_eigenpair=rows, kappa_max_frob=kx_max * nf,
                            kappa_max_op=kx_max * no, norm_frob=float(pow2_scale(nf, -s)),
-                           norm_op=float(pow2_scale(no, -s)))
+                           norm_op=float(pow2_scale(no, -s)),
+                           min_gap=float(pow2_scale(gap, -s)))
 
 
 def condition_report_diagonal(c: Configuration) -> ConditionReport:
@@ -250,7 +255,8 @@ def condition_report_diagonal(c: Configuration) -> ConditionReport:
     return ConditionReport(per_eigenpair=rows, kappa_max_frob=norm_frob / gap,
                            kappa_max_op=norm_op / gap,
                            norm_frob=float(pow2_scale(norm_frob, -s)),
-                           norm_op=float(pow2_scale(norm_op, -s)))
+                           norm_op=float(pow2_scale(norm_op, -s)),
+                           min_gap=c.min_separation)
 
 
 @dataclass(frozen=True)
@@ -382,7 +388,7 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
     else:
         vecs_inv = None
     norm_scale = base.norm_frob if norm_kind == "frob" else base.norm_op
-    min_gap = pairwise_min_separation(lams)
+    min_gap = base.min_gap
     if epsilon > min_gap / (10.0 * norm_scale):
         raise ValueError(
             f"epsilon {epsilon:g} too large for unambiguous matching: need "

@@ -133,13 +133,30 @@ def lattice_prefix_functionals(n: int) -> tuple[float, float]:
     """S_2 and S_inf of the first n lattice sites, from exact shell sums.
 
     The prefix's minimum gap is exactly 1, so S_2 = sqrt(sum q) and
-    S_inf = sqrt(q_max); each exact integer is rounded to a float once.  No
-    site is enumerated (lattice_prefix_sums).
+    S_inf = sqrt(q_max), both correctly rounded.  sum q passes 2^53 near
+    n = 2.6e8, where sqrt(float(sum q)) would round twice; q_max is at most
+    _MAX_SHELL_BOUND, so float(q_max) is exact.  No site is enumerated
+    (lattice_prefix_sums).
     """
     if int(n) < 2:
         raise UsageError("the separation functional needs at least two points")
     q_max, q_sum = lattice_prefix_sums(n)
-    return math.sqrt(float(q_sum)), math.sqrt(float(q_max))
+    return _sqrt_int(q_sum), math.sqrt(float(q_max))
+
+
+def _sqrt_int(m: int) -> float:
+    """sqrt(m) correctly rounded, for an int m >= 0.
+
+    r = isqrt(m * 4^k), with k such that r has at least 56 bits, is the root
+    of m * 4^k or truncates it.  2r plus a sticky bit, set when r truncates,
+    lies strictly between the same two rounding boundaries as the exact
+    2 sqrt(m * 4^k), so one int-to-float conversion rounds it correctly and
+    ldexp scales it back exactly.
+    """
+    k = max(0, (112 - m.bit_length()) // 2)
+    shifted = m << 2 * k
+    r = math.isqrt(shifted)
+    return math.ldexp(float(2 * r + (r * r != shifted)), -k - 1)
 
 
 def proposition_constant(p) -> float:

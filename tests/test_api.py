@@ -6,17 +6,18 @@ import dataclasses
 import importlib
 import inspect
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corpus
 import eigencond
 import eigencond.cli
 import eigencond.optimizer
 from eigencond.conditioning import perturbation_experiment
 from eigencond.errors import UsageError
-from eigencond.linalg import write_matrix
 from eigencond.optimizer import OptimizerConfig
 
 PUBLIC_NAMES = [
@@ -103,19 +104,13 @@ def test_nonfinite_epsilon_is_bad_input(epsilon):
         perturbation_experiment(np.diag([0.0, 1.0, 2.0]), epsilon, trials=1)
 
 
-@pytest.fixture()
-def inputs(tmp_path):
-    """The files the exit-code table names, written into tmp_path."""
-    write_matrix(tmp_path / "good.mat", np.diag([0.0, 1.0, 2.0]).astype(complex))
-    write_matrix(tmp_path / "one.mat", np.array([[2.0 - 1.0j]]))
-    write_matrix(tmp_path / "ident.mat", np.eye(3, dtype=complex))
-    (tmp_path / "short.mat").write_text("2\n1 0\n0 0\n0 0\n")
-    (tmp_path / "nan.mat").write_text("2\n1 0\n0 0\n0 0\nnan 0\n")
-    (tmp_path / "accent.mat").write_text("2\n1 0\n0 0\n0 0\n1 0\u00e9\n", encoding="utf-8")
-    (tmp_path / "dup.csv").write_text("re,im\n0.0,0.0\n1.0,0.0\n1.0,0.0\n")
-    (tmp_path / "three.csv").write_text("re,im\n0.0,0.0\n1.0,0.0\n2.0,0.0\n")
-    (tmp_path / "latin1.csv").write_bytes(b"re,im\n0.0,0.0\n1.0,0.0\n2.0,0.0\xe9\n")
-    return tmp_path
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The corpus, in which good.mat is diag012.mat."""
+    root = tmp_path_factory.mktemp("corpus")
+    corpus.write(root)
+    shutil.copy(root / "diag012.mat", root / "good.mat")
+    return root
 
 
 @pytest.mark.parametrize("argv, code, message", [

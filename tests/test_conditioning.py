@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import eigencond.conditioning
+import eigencond.lattice
 from conftest import (random_distinct_points, random_unitary,
                       reference_match_eigenvalues, svd_condition_report)
 from reference import eigenvalue_shifts, eigenvalues
@@ -244,6 +245,15 @@ class TestConditionReport:
             assert diag.kappa_max_frob <= full.kappa_max_frob * (1.0 + 1e-10)
             assert diag.kappa_max_op <= full.kappa_max_op * (1.0 + 1e-10)
 
+    @pytest.mark.parametrize("family", ["ginibre", "normal", "grcar"])
+    def test_min_gap_is_the_spectrum_separation(self, family):
+        a = dense_matrix(family, 12, seed=5)
+        report = condition_report(a)
+        lams = [row.eigenvalue for row in report.per_eigenpair]
+        assert report.min_gap == pairwise_min_separation(lams)
+        for k in (-600, 3, 600):
+            assert condition_report(a * 2.0 ** k).min_gap == math.ldexp(report.min_gap, k)
+
 
 class TestSchurEngine:
     @pytest.mark.parametrize("family", ["ginibre", "normal", "grcar"])
@@ -451,6 +461,8 @@ class TestDiagonalFastPath:
         assert np.array_equal(scaled.nearest_neighbor_distances(),
                               pow2_scale(base.nearest_neighbor_distances(), k))
         assert scaled.min_separation == math.ldexp(base.min_separation, k)
+        assert r0.min_gap == pairwise_min_separation(z)
+        assert rk.min_gap == math.ldexp(r0.min_gap, k)
 
 
 class TestPerturbationExperiment:
@@ -588,6 +600,20 @@ class TestPerturbationExperiment:
         r1 = perturbation_experiment(a, 1e-6, trials=10, seed=5)
         r2 = perturbation_experiment(a, 1e-6, trials=10, seed=5)
         assert r1.rows == r2.rows
+
+    def test_one_neighbour_search_per_run(self, monkeypatch):
+        # the matching margin reads the base report's min_gap
+        calls = []
+        search = eigencond.lattice.nearest_neighbor_distances
+
+        def counted(points):
+            calls.append(None)
+            return search(points)
+
+        monkeypatch.setattr(eigencond.conditioning, "nearest_neighbor_distances", counted)
+        monkeypatch.setattr(eigencond.lattice, "nearest_neighbor_distances", counted)
+        perturbation_experiment(dense_matrix("ginibre", 12, seed=3), 1e-8, trials=3)
+        assert len(calls) == 1
 
     def test_excluded_trials_do_not_count(self, monkeypatch):
         # a trial whose matching fails is counted and leaves the row maxima

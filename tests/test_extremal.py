@@ -1,6 +1,8 @@
 """Separation functionals, leading-order constants, and convergence tables."""
 
+import decimal
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -9,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distinct_points
-from eigencond import extremal
+from eigencond import extremal, shells
 from eigencond.conditioning import condition_report_diagonal
 from eigencond.errors import DuplicatePointsError, NumericalError, UsageError
 from eigencond.extremal import (_growth_scale, convergence_study, modulus_p_norm,
                                 proposition_constant, separation_functional)
 from eigencond.lattice import Configuration, first_n_lattice_points
-from eigencond.shells import lattice_prefix_sums
+from eigencond.shells import lattice_prefix_functionals, lattice_prefix_sums
 
 INF = math.inf
 
@@ -126,6 +128,24 @@ class TestPropositionConstant:
         # and the package's float constants agree with the 40-digit ones
         assert proposition_constant(2.0) == pytest.approx(float(c_2), rel=1e-15)
         assert proposition_constant(INF) == pytest.approx(float(c_inf), rel=1e-15)
+
+    # sum q passes 2^53 near n = 2.6e8; 410205473 is a case that rounding
+    # sum q to a float first gets 1 ulp wrong
+    @pytest.mark.parametrize("n", [2, 100, 2921, 10 ** 6, 3 * 10 ** 8, 410_205_473,
+                                   555_555_557, 777_777_777, 999_999_999, 10 ** 9])
+    def test_prefix_functionals_are_correctly_rounded(self, n):
+        q_max, q_sum = lattice_prefix_sums(n)
+        with decimal.localcontext(prec=60):
+            expected = (float(decimal.Decimal(q_sum).sqrt()),
+                        float(decimal.Decimal(q_max).sqrt()))
+        assert lattice_prefix_functionals(n) == expected
+
+    def test_integer_square_roots_are_correctly_rounded(self):
+        rng = random.Random(80)
+        ints = [rng.randrange(2 ** rng.randrange(1, 81)) for _ in range(2000)]
+        with decimal.localcontext(prec=60):
+            expected = [float(decimal.Decimal(m).sqrt()) for m in ints]
+        assert [shells._sqrt_int(m) for m in ints] == expected
 
 
 class TestTheoremLinkage:

@@ -6,66 +6,28 @@ numbers."""
 import math
 import random
 
-import numpy as np
 import pytest
 
+import corpus
 from eigencond.cli import main
-from eigencond.lattice import first_n_lattice_points
-from eigencond.linalg import write_matrix
 
 CALLS_PER_SUBCOMMAND = 25
 
-CSV_FILES = {
-    "empty.csv": b"",
-    "header.csv": b"re,im\n",
-    "latin1.csv": b"re,im\n0.0,0.0\n1.0,0.0\xe9\n",
-    "bom.csv": b"\xef\xbb\xbfre,im\n0,0\n1,0\n",
-    "nan.csv": b"re,im\n0,0\nnan,1\n",
-    "inf.csv": b"re,im\n0,0\n1,-inf\n",
-    "subnormal.csv": b"re,im\n1e-320,0\n0,0\n",
-    "huge.csv": b"re,im\n1e308,0\n-1e308,0\n",
-    "dup.csv": b"re,im\n0,0\n1,0\n1,0\n2,0\n",
-    "short_row.csv": b"re,im\n0,0\n1\n",
-    "one.csv": b"re,im\n1,1\n",
-}
-
-MATRICES = {
-    "diag.mat": np.diag([0.0, 1.0, 2.0]),
-    "ginibre.mat": np.random.default_rng(0).standard_normal((6, 6)),
-    "subnormal.mat": np.diag([1e-320, 0.0]),
-    "huge.mat": np.diag([1e308, -1e308]),
-    "one.mat": np.array([[2.0]]),
-}
-
-MATRIX_TEXTS = {
-    "wrong_count.mat": b"2\n1 0\n0 0\n0 0\n",
-    "nan.mat": b"2\n1 0\n0 0\n0 0\nnan 0\n",
-    "latin1.mat": b"2\n1 0\n0 0\n0 0\n1 0\xe9\n",
-    "empty.mat": b"",
-}
+# the corpus files drawn from, a good one three times in four
+CSVS = (["bom.csv", "huge.csv", "lattice20.csv", "sub.csv", "three.csv"],
+        ["dup.csv", "empty.csv", "header.csv", "inf.csv", "latin1.csv", "nan.csv",
+         "one.csv", "short_row.csv", "span.csv"])
+MATS = (["diag012.mat", "ginibre.mat", "huge.mat", "sub.mat"],
+        ["accent.mat", "empty.mat", "ident.mat", "nan.mat", "one.mat", "short.mat"])
 
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    """(csvs, mats): the good and the bad configuration CSVs and matrix files."""
+def files(tmp_path_factory):
+    """(csvs, mats): the paths of CSVS and MATS in a written corpus."""
     root = tmp_path_factory.mktemp("corpus")
-    for name, data in {**CSV_FILES, **MATRIX_TEXTS}.items():
-        (root / name).write_bytes(data)
-    for name, a in MATRICES.items():
-        write_matrix(root / name, a.astype(complex))
-    lattice = first_n_lattice_points(20).points.tolist()
-    (root / "lattice20.csv").write_text(
-        "re,im\n" + "".join(f"{z.real!r},{z.imag!r}\n" for z in lattice))
-
-    def split(names, good):
-        return ([str(root / name) for name in names if name in good],
-                [str(root / name) for name in names if name not in good])
-
-    csvs = split(sorted(CSV_FILES) + ["lattice20.csv"],
-                 {"lattice20.csv", "subnormal.csv", "huge.csv", "bom.csv"})
-    mats = split(sorted(MATRICES) + sorted(MATRIX_TEXTS),
-                 {"diag.mat", "ginibre.mat", "subnormal.mat", "huge.mat"})
-    return csvs, mats
+    corpus.write(root)
+    return tuple([[str(root / name) for name in names] for names in pair]
+                 for pair in (CSVS, MATS))
 
 
 def _pick(rng, good, bad):
@@ -119,10 +81,10 @@ def _scale_free_values(subcommand, out):
 
 @pytest.mark.parametrize("subcommand", ["lattice", "cond", "perturb", "asymptotics",
                                         "optimize", "reproduce"])
-def test_main_follows_the_exit_code_rule(capsys, corpus, subcommand):
+def test_main_follows_the_exit_code_rule(capsys, files, subcommand):
     rng = random.Random(subcommand)
     for _ in range(CALLS_PER_SUBCOMMAND):
-        argv = _argv(subcommand, rng, *corpus)
+        argv = _argv(subcommand, rng, *files)
         code = main(argv)  # any exception, SystemExit included, fails the test
         out, err = capsys.readouterr()
         if code == 0:

@@ -1,23 +1,29 @@
-"""scripts/same_bytes.py: on five invocations with the tree against itself
-every cold run must give the same bytes twice, which catches an unseeded
-draw, a time in the output or a result that depends on thread scheduling;
-and its check of declared differences, on made-up records."""
+"""scripts/same_bytes.py and the invocation list of tests/corpus.py.  On six
+listed invocations with the tree against itself every cold run must give the
+same bytes twice, which catches an unseeded draw, a time in the output or a
+result that depends on thread scheduling.  The list has one label per
+invocation, and the corpus writes every input file it names.  The check of
+declared differences runs on made-up records."""
 
 import importlib.util
 from pathlib import Path
 
+import corpus
 import eigencond
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_bytes.py"
 
-INVOCATIONS = [
-    ["cond", "gin80.mat"],  # the SVDs on worker threads
-    ["cond", "norm80.mat", "--output", "o.csv", "--manifest", "m.json"],
-    ["perturb", "gin40.mat", "--eps", "1e-6", "--trials", "20", "--norm", "op",
-     "--output", "o.csv"],
-    ["optimize", "--n", "5", "--max-iters", "20", "--manifest", "m.json"],
-    ["cond", "huge.csv", "--diag"],
+LISTED = [
+    "cond gin80.mat",  # the SVDs on worker threads
+    "cond norm80.mat --output o.csv --manifest m.json",
+    "perturb gin40.mat --eps 1e-6 --trials 20 --norm op --output o.csv",
+    "optimize --n 5 --max-iters 20 --manifest m.json",
+    "cond huge.csv --diag",
+    "cond --diag lat40.csv",  # a generated point set
 ]
+
+OUTPUT_FLAGS = {"--output", "--manifest", "--trace"}
+MEANT_MISSING = {"missing.mat", "missing.csv"}
 
 
 def load_script():
@@ -29,15 +35,35 @@ def load_script():
 
 def test_the_tree_gives_its_own_bytes():
     same_bytes = load_script()
-    listed = [inv for inv in same_bytes.invocations() if inv["argv"] in INVOCATIONS]
-    assert len(listed) == len(INVOCATIONS)
+    assert set(LISTED) <= set(corpus.INVOCATIONS)
     src = Path(eigencond.__file__).resolve().parents[1]
-    records = same_bytes.compare(src, src, listed, log=None)
-    assert [r["same"] for r in records] == [True] * len(INVOCATIONS)
-    assert [r["parent"]["code"] for r in records] == [0] * len(INVOCATIONS)
-    written = {" ".join(r["argv"]): set(r["parent"]["files"]) for r in records}
-    assert written[" ".join(INVOCATIONS[1])] == {"o.csv", "m.json"}
+    records = same_bytes.compare(src, src, [same_bytes.invocation(line) for line in LISTED],
+                                 log=None)
+    assert [r["same"] for r in records] == [True] * len(LISTED)
+    assert [r["parent"]["code"] for r in records] == [0] * len(LISTED)
+    assert set(records[1]["parent"]["files"]) == {"o.csv", "m.json"}
     assert same_bytes.check_declared(records, []) == []
+
+
+def test_each_invocation_has_one_label():
+    same_bytes = load_script()
+    assert len(set(corpus.INVOCATIONS)) == len(corpus.INVOCATIONS)
+    assert [same_bytes.label(inv) for inv in same_bytes.invocations()] == corpus.INVOCATIONS
+    assert same_bytes.invocation("EIGENCOND_SEED=5 cond --diag=a.csv") == {
+        "argv": ["cond", "--diag=a.csv"], "env": {"EIGENCOND_SEED": "5"}}
+
+
+def test_the_corpus_writes_every_named_input(tmp_path):
+    # an input that is missing on both sides exits 1 twice and tests nothing
+    corpus.write(tmp_path)
+    named = set()
+    for line in corpus.INVOCATIONS:
+        words = line.split()
+        for flag, word in zip([""] + words, words):
+            name = word.rpartition("=")[2]
+            if name.endswith((".mat", ".csv")) and flag not in OUTPUT_FLAGS:
+                named.add(name)
+    assert named - {p.name for p in tmp_path.iterdir()} == MEANT_MISSING
 
 
 def record(argv, same, env=None):
