@@ -22,8 +22,9 @@ is checked once: the library raises UsageError (exit 1) for an argument
 outside its domain, and the CLI checks only what the library cannot know:
 how flags relate (argparse states which exclude each other; --open needs
 --r is checked by hand), the size limits, and the files it reads and
-writes.  An unwritable output path, two paths that name one file, and a
-stdout whose reader closed it early exit 1 too.
+writes.  Integer flags parse with int alone; the function that takes each
+value rejects it.  An unwritable output path, two paths that name one file,
+and a stdout whose reader closed it early exit 1 too.
 """
 
 from __future__ import annotations
@@ -90,20 +91,6 @@ class _Parser(argparse.ArgumentParser):
         super().exit(status, message)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
 def _check_point_count(count: float, flag: str, limit: int = MAX_POINTS) -> None:
     """Reject a request for more than limit points before building any."""
     if count > limit:
@@ -132,12 +119,12 @@ def build_parser() -> _Parser:
         p.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
         p.add_argument("--manifest", metavar="PATH", help="also write the run manifest here")
         if seeded:
-            p.add_argument("--seed", type=_nonnegative_int, default=0,
+            p.add_argument("--seed", type=int, default=0,
                            help="RNG seed (default 0)")
 
     p = sub.add_parser("lattice", help="enumerate triangular-lattice points")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_positive_int,
+    group.add_argument("--n", type=int,
                        help=f"first n points by modulus (n <= {MAX_POINTS})")
     group.add_argument("--r", type=float,
                        help="all points in the disk of radius r "
@@ -162,7 +149,7 @@ def build_parser() -> _Parser:
     p.add_argument("--diag", action="store_true",
                    help="take FILE's points as a diagonal matrix")
     p.add_argument("--eps", type=float, required=True, help="relative perturbation size")
-    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--trials", type=int, default=100)
     p.add_argument("--norm", choices=("frob", "op"), default="frob")
     common(p, seeded=True)
     p.set_defaults(func=_cmd_perturb)
@@ -177,22 +164,22 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_asymptotics)
 
     p = sub.add_parser("optimize", help="search for low separation-functional configurations")
-    p.add_argument("--n", type=_positive_int, required=True,
+    p.add_argument("--n", type=int, required=True,
                    help=f"number of points (n <= {MAX_OPTIMIZE_POINTS})")
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--restarts", type=_positive_int, default=1)
+    p.add_argument("--restarts", type=int, default=1)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--init", choices=("lattice", "random"),
                        help="generated start (default: lattice)")
     group.add_argument("--file", metavar="CSV",
                        help="start from the first n points of this configuration")
-    p.add_argument("--max-iters", type=_positive_int, default=300)
+    p.add_argument("--max-iters", type=int, default=300)
     p.add_argument("--trace", metavar="PATH", help="write the JSON-lines objective trace here")
     common(p, seeded=True)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("reproduce", help="headline asymptotic constants at one n")
-    p.add_argument("--n", type=_positive_int, required=True,
+    p.add_argument("--n", type=int, required=True,
                    help=f"configuration size (100 <= n <= {MAX_REPRODUCE_N})")
     common(p)
     p.set_defaults(func=_cmd_reproduce)

@@ -33,9 +33,9 @@ import numpy as np
 from .errors import ClusteredSpectrumError, DuplicatePointsError, UsageError
 from .extremal import modulus_p_norm
 from .lattice import Configuration, nearest_neighbor_distances, pair_distances
-from .linalg import (as_matrix, frobenius_norm, locate_eigenpair, one_blas_thread,
-                     operator_norm, pow2_scale, prescale, schur, schur_eigenpair,
-                     verified_residuals)
+from .linalg import (_UNIT_ROUNDOFF, as_matrix, frobenius_norm, locate_eigenpair,
+                     one_blas_thread, operator_norm, pow2_scale, prescale, schur,
+                     schur_eigenpair, verified_residuals)
 
 OVERLAP_TOL = 1e-14        # |y^H x| below this reports kappa_lambda = +inf
 _LISTED_PAIRS = 10         # close pairs named by a clustered spectrum's error
@@ -165,7 +165,10 @@ def _eigenpairs(form, order: list[int]) -> list:
     A form that needs an SVD per eigenpair and has at least _PARALLEL_MIN_N
     rows is shared out among the calling thread and _WORKERS - 1 helpers,
     each taking the next index from one iterator; results land in their
-    index's slot, and a helper's error is raised here.
+    index's slot, and a helper's error is raised here.  ThreadPoolExecutor.map
+    with a task per eigenpair, or with a fixed share of order per thread,
+    measured slower on 2 CPUs: dense_cond's op_tail_s rose by 12-23% and
+    10-24% in batches of 10 paired benchmark runs (BENCH_42.json).
     """
     if form.normal or _WORKERS < 2 or len(order) < _PARALLEL_MIN_N:
         return [schur_eigenpair(form, k) for k in order]
@@ -311,7 +314,7 @@ def _refined_eigenpairs(a1: np.ndarray, delta: np.ndarray, lams: np.ndarray,
     ||a1||_F, the size of the residuals LAPACK's eig leaves.
     """
     n = lams.size
-    u = 2.0 ** -53  # unit roundoff
+    u = _UNIT_ROUNDOFF
     g = x_inv @ (delta @ x)
     v = np.eye(n, dtype=np.complex128)
     with np.errstate(all="ignore"):  # a diverging expansion fails the certificate
@@ -371,6 +374,8 @@ def perturbation_experiment(a, epsilon: float, trials: int = 100,
     trials = int(trials)
     if trials < 1:
         raise UsageError("at least one trial is required")
+    if seed < 0:
+        raise UsageError("seed must be nonnegative")
     m = as_matrix(a, square=True)
     ms, s = prescale(m)
     try:

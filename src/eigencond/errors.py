@@ -21,10 +21,12 @@ returns +inf for coincident points, the value the optimizer compares against.
 
 Bad input is detected once, where it is used: each library function checks
 its own arguments and raises UsageError, a ValueError, so callers that catch
-ValueError keep working.  The CLI checks only what the library cannot know:
-how its flags relate, its size limits and the files it reads.  Any other
-ValueError exits 2: an epsilon too large for perturbation_experiment to
-match eigenvalues unambiguously, and numpy's LinAlgError.  Fewer than two
+ValueError keep working (a negative seed is rejected by OptimizerConfig
+and by perturbation_experiment alike: "seed must be nonnegative").  The CLI
+checks only what the library cannot know: how its flags relate, its size
+limits and the files it reads.  Any other ValueError exits 2: an epsilon
+too large for perturbation_experiment to match eigenvalues unambiguously,
+and numpy's LinAlgError.  Fewer than two
 points is bad input, rejected on the first lines of the functions that need
 two, before computing anything: `cond` and `perturb` on a 1x1 matrix file
 or a one-point `--diag` CSV, `asymptotics --n-list 1` and `optimize --n 1`.

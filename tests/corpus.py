@@ -238,7 +238,7 @@ optimize --n 60 --p inf --init random --restarts 1 --seed 93 --trace t.jsonl --m
 optimize --n 60 --p inf --init lattice --restarts 1 --seed 93 --trace t.jsonl --manifest m.json
 optimize --n 5 --p 4 --restarts 3 --trace t.jsonl --manifest m.json
 optimize --n 12 --restarts 4 --init random --trace t.jsonl --manifest m.json
-optimize --n 19 --init file --file init19.csv --restarts 2 --trace t.jsonl --manifest m.json
+optimize --n 19 --file init19.csv --restarts 2 --trace t.jsonl --manifest m.json
 optimize --n 12 --p inf --restarts 3 --max-iters 40 --seed 5
 cond --diag lat40.csv --manifest m.json
 cond gin40.mat --manifest m.json
@@ -248,13 +248,9 @@ cond id5.mat
 cond id300.mat
 cond blank.mat
 cond blank_num.mat
-asymptotics --p 2 --n-list 2,4,40 --generator file --file lat40.csv
-optimize --n 5 --init file --file init5.csv --restarts 2 --seed 3
+optimize --n 5 --file init5.csv --restarts 2 --seed 3
 perturb gin40.mat --eps -1
 perturb gin40.mat --eps inf
-asymptotics --p 2 --n-list 2,50 --generator file --file lat40.csv
-optimize --n 3 --init file --file init5.csv
-optimize --n 5 --init file --file dup.csv
 optimize --n 3 --file init5.csv --max-iters 3
 EIGENCOND_SEED=x perturb one.mat --eps 1e-6
 perturb one.mat --eps 0

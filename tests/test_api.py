@@ -104,6 +104,11 @@ def test_nonfinite_epsilon_is_bad_input(epsilon):
         perturbation_experiment(np.diag([0.0, 1.0, 2.0]), epsilon, trials=1)
 
 
+def test_negative_seed_is_bad_input():
+    with pytest.raises(UsageError, match="seed must be nonnegative"):
+        perturbation_experiment(np.diag([0.0, 1.0, 2.0]), 1e-3, trials=1, seed=-1)
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """The corpus, in which good.mat is diag012.mat."""
@@ -152,6 +157,14 @@ def inputs(tmp_path_factory):
     ("asymptotics --p 0.001 --n-list 2,3", 2, "overflows"),
     ("asymptotics --p 1e-320 --n-list 3", 2, "1/p overflows"),
     ("optimize --n 3 --p 1e-320", 2, "1/p overflows"),
+    # integer flags parse with int: the library rejects each value
+    ("perturb good.mat --eps 1e-6 --seed -1", 1, "seed must be nonnegative"),
+    ("perturb good.mat --eps 1e-6 --trials 0", 1, "at least one trial is required"),
+    ("optimize --n 3 --seed -1", 1, "seed must be nonnegative"),
+    ("optimize --n 3 --restarts 0", 1, "restarts must be at least 1"),
+    ("optimize --n 3 --max-iters 0", 1, "max_iters must be at least 1"),
+    ("lattice --n 0", 1, "n must be at least 1"),
+    ("reproduce --n 0", 1, "reproduce needs n >= 100"),
 ])
 def test_exit_codes_follow_one_rule(capsys, inputs, monkeypatch, argv, code, message):
     monkeypatch.chdir(inputs)

@@ -20,6 +20,10 @@ CSVS = (["bom.csv", "huge.csv", "lattice20.csv", "sub.csv", "three.csv"],
 MATS = (["diag012.mat", "ginibre.mat", "huge.mat", "sub.mat"],
         ["accent.mat", "empty.mat", "ident.mat", "nan.mat", "one.mat", "short.mat"])
 
+# bad values of --trials, --restarts, --max-iters and --seed: the library,
+# not the parser, rejects 0 and -1
+BAD_INTS = ["0", "-1", "x"]
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -50,9 +54,9 @@ def _argv(subcommand, rng, csvs, mats):
         argv = [subcommand, _pick(rng, *(csvs if diag else mats)), *(["--diag"] if diag else [])]
         if subcommand == "perturb":
             argv += ["--eps", _pick(rng, ["1e-6", "1e-3", "1e-12"], ["0.5", "0", "-1", "nan"]),
-                     "--trials", rng.choice(["1", "3", "5"]),
+                     "--trials", _pick(rng, ["1", "3", "5"], BAD_INTS),
                      *_maybe(rng, "--norm", rng.choice(["frob", "op"])),
-                     *_maybe(rng, "--seed", rng.choice(["0", "7"]))]
+                     *_maybe(rng, "--seed", _pick(rng, ["0", "7"], BAD_INTS))]
         return argv
     if subcommand == "asymptotics":
         return ["asymptotics",
@@ -64,8 +68,9 @@ def _argv(subcommand, rng, csvs, mats):
                             ["--file", _pick(rng, *csvs)]])
         return ["optimize", "--n", _pick(rng, ["2", "3", "5", "12", "20"], ["0", "1"]),
                 "--p", _pick(rng, ["2", "4", "inf"], ["0", "nan", "0.001"]), *start,
-                "--max-iters", rng.choice(["1", "3"]), *_maybe(rng, "--restarts", "2"),
-                *_maybe(rng, "--seed", rng.choice(["0", "3"]))]
+                "--max-iters", _pick(rng, ["1", "3"], BAD_INTS),
+                *_maybe(rng, "--restarts", _pick(rng, ["2"], BAD_INTS)),
+                *_maybe(rng, "--seed", _pick(rng, ["0", "3"], BAD_INTS))]
     return ["reproduce", "--n", _pick(rng, ["100", "1000", "100000"], ["0", "50", "99", "abc"])]
 
 
